@@ -29,7 +29,7 @@ from . import fairness as fairmod
 from . import netcalc
 from . import sim as simmod
 from . import traceio
-from .errors import ConfigError, Error, ModelError, TraceFormatError
+from .errors import ConfigError, Error, TraceFormatError, is_finite, is_int
 from .mac import (MacParams, saturation_throughput, slot_distribution,
                   solve_attempt_fixed_point, solve_attempt_fixed_point_vector)
 
@@ -39,12 +39,42 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYTIC = 3
 
-_MAC_FIELDS = {f for f in MacParams.__dataclass_fields__}
-_SIM_FIELDS = {"n", "mode", "arrival_rate_pps", "horizon_slots", "horizon_us",
-               "seed", "record_slot_trace", "record_event_trace", "reps"}
+# A field is (rule, default); a None default makes the field optional. A
+# rule is (test(value, n), text, convert), n being the station count, or
+# a table of fields for a nested object.
+_COUNT = (lambda v, n: is_int(v) and v >= 1, "an integer >= 1", int)
+_STATION = (lambda v, n: is_int(v) and 0 <= v < n, "an integer in 0..{last}",
+            int)
+_COUNTS = (lambda v, n: isinstance(v, list) and all(
+    _COUNT[0](x, n) for x in v), "a list of integers >= 1", list)
+_POSITIVE = (lambda v, n: is_finite(v) and v > 0, "a number > 0", float)
+_NON_NEGATIVE = (lambda v, n: is_finite(v) and v >= 0, "a number >= 0", float)
+_UNIT = (lambda v, n: is_finite(v) and 0 < v < 1, "a number in (0, 1)", float)
+_TEXT = (lambda v, n: isinstance(v, str), "a string", str)
+
+# top-level fields; other top-level keys (scenario, ...) stay open
+_TOP_FIELDS = {"payload_bits": (_POSITIVE, 8192), "out_dir": (_TEXT, ".")}
+_SECTIONS = {
+    # the other sim fields are SimConfig's, checked by build_sim_config
+    "sim": {"reps": (_COUNT, 1)},
+    "fairness": {"tagged": (_STATION, 0), "contender": (_STATION, 1),
+                 "l": (_COUNT, 1), "trunc_tol": (_UNIT, 1e-9),
+                 "window_lens": (_COUNTS, [10, 100, 1000])},
+    "clock": {"tagged": (_STATION, 0), "fair_increment_us": (_POSITIVE, None)},
+    "service_curve": {
+        "tagged": (_STATION, 0), "eps": (_UNIT, 1e-2),
+        "horizon_j": (_COUNT, 100), "theta": (_POSITIVE, None),
+        "arrival": ({"sigma_b": (_NON_NEGATIVE, 0.0),
+                     "rho_pps": (_NON_NEGATIVE, 0.0)}, None)},
+    "estimate": {"station": (_STATION, 0),
+                 "min_period_departures": (_COUNT, 2),
+                 "sample_counts": (_COUNTS, [100, 1000, 10000])},
+}
 
 
-def _apply_env_overrides(config: dict, environ=os.environ) -> dict:
+def _apply_overrides(config: dict, seed: int | None,
+                     environ=os.environ) -> dict:
+    """DCFFAIR_* environment overrides, then the --seed override."""
     for key, raw in sorted(environ.items()):
         if not key.startswith(ENV_PREFIX):
             continue
@@ -60,6 +90,11 @@ def _apply_env_overrides(config: dict, environ=os.environ) -> dict:
                 raise ConfigError(f"environment override {key} descends into "
                                   f"a non-object config field")
         node[path[-1]] = value
+    if seed is not None:
+        sim = config.setdefault("sim", {})
+        if not isinstance(sim, dict):
+            raise ConfigError('config needs a "sim" object')
+        sim["seed"] = seed
     return config
 
 
@@ -71,60 +106,77 @@ def load_config(path: str | Path, seed_override: int | None = None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _apply_env_overrides(config)
-    if seed_override is not None:
-        config.setdefault("sim", {})["seed"] = seed_override
-    return config
+    return _apply_overrides(config, seed_override)
 
 
-def _mac_params(spec, where: str) -> MacParams | tuple[MacParams, ...]:
-    def one(obj) -> MacParams:
+def _mac_params(spec) -> MacParams | tuple[MacParams, ...]:
+    specs = spec if isinstance(spec, list) else [{} if spec is None else spec]
+    for obj in specs:
         if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: expected an object of MAC fields")
-        unknown = set(obj) - _MAC_FIELDS
+            raise ConfigError("mac: expected an object of MAC fields")
+        unknown = set(obj) - set(MacParams.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"{where}: unknown MAC fields {sorted(unknown)}")
-        return MacParams(**obj)
-
-    if spec is None:
-        return MacParams()
-    if isinstance(spec, list):
-        return tuple(one(entry) for entry in spec)
-    return one(spec)
+            raise ConfigError(f"mac: unknown MAC fields {sorted(unknown)}")
+    params = tuple(MacParams(**obj) for obj in specs)
+    return params if isinstance(spec, list) else params[0]
 
 
 def build_sim_config(config: dict) -> simmod.SimConfig:
+    """The checked SimConfig of a config's sim and mac sections."""
     sim = config.get("sim")
     if not isinstance(sim, dict):
         raise ConfigError('config needs a "sim" object')
-    unknown = set(sim) - _SIM_FIELDS
-    if unknown:
-        raise ConfigError(f"sim: unknown fields {sorted(unknown)}")
     if "n" not in sim:
         raise ConfigError('sim: field "n" is required')
-    params = _mac_params(config.get("mac"), "mac")
-    arrival = sim.get("arrival_rate_pps")
-    if isinstance(arrival, list):
-        arrival = tuple(float(a) for a in arrival)
-    cfg = simmod.SimConfig(
-        n=int(sim["n"]),
-        params=params,
-        mode=sim.get("mode", "saturated"),
-        arrival_rate_pps=arrival,
-        horizon_slots=sim.get("horizon_slots"),
-        horizon_us=sim.get("horizon_us"),
-        seed=int(sim.get("seed", 0)),
-        record_slot_trace=bool(sim.get("record_slot_trace", True)),
-        record_event_trace=bool(sim.get("record_event_trace", True)),
-    )
+    names = set(simmod.SimConfig.__dataclass_fields__) - {"params"}
+    unknown = set(sim) - names - set(_SECTIONS["sim"])
+    if unknown:
+        raise ConfigError(f"sim: unknown fields {sorted(unknown)}")
+    fields = {name: sim[name] for name in names & set(sim)}
+    if isinstance(fields.get("arrival_rate_pps"), list):
+        fields["arrival_rate_pps"] = tuple(fields["arrival_rate_pps"])
+    cfg = simmod.SimConfig(params=_mac_params(config.get("mac")), **fields)
     cfg.validate()
     return cfg
 
 
-def _out_dir(config: dict, override: str | None) -> Path:
-    out = Path(override or config.get("out_dir", "."))
+def _object(raw, table: dict, where: str, n: int, closed: bool = True) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = set(raw) - set(table)
+    if closed and unknown:
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    typed = {}
+    for name, (rule, default) in table.items():
+        value = raw.get(name, default)
+        if value is None and default is None:
+            typed[name] = None
+        elif isinstance(rule, dict):
+            typed[name] = _object(value, rule, f"{where}.{name}", n)
+        elif rule[0](value, n):
+            typed[name] = rule[2](value)
+        else:
+            raise ConfigError(f"{where}.{name} must be "
+                              f"{rule[1].format(last=n - 1)}, got {value!r}")
+    return typed
+
+
+def _read_settings(config: dict, n: int, sections) -> dict:
+    """Top-level fields and the named sections, checked against the field
+    tables; a fault raises ConfigError. n bounds the station indices."""
+    settings = _object(config, _TOP_FIELDS, "config", n, closed=False)
+    for name in sections:
+        settings[name] = _object(config.get(name, {}), _SECTIONS[name], name,
+                                 n, closed=name != "sim")
+    return settings
+
+
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".writable"
@@ -133,6 +185,13 @@ def _out_dir(config: dict, override: str | None) -> Path:
     except OSError as exc:
         raise ConfigError(f"output directory {out} not writable: {exc}")
     return out
+
+
+def _input_path(arg: str) -> Path:
+    path = Path(arg)
+    if not path.is_file():
+        raise ConfigError(f"input file not found: {path}")
+    return path
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -148,47 +207,29 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _analysis_section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f'config section "{name}" must be an object')
-    return section
-
-
-def _station_index(value, n: int, where: str) -> int:
-    idx = int(value)
-    if not 0 <= idx < n:
-        raise ConfigError(f"{where}: station {idx} outside 0..{n - 1}")
-    return idx
-
-
-def _tagged_model(config: dict, tagged: int):
+def _tagged_model(sim_cfg: simmod.SimConfig):
     """Fixed point + slot distribution for the configured stations."""
-    sim_cfg = build_sim_config(config)
     params = sim_cfg.station_params()
     if all(p == params[0] for p in params):
         sol = solve_attempt_fixed_point(params[0], sim_cfg.n)
         taus = np.full(sim_cfg.n, sol.tau)
     else:
-        vec = solve_attempt_fixed_point_vector(params)
-        taus = vec.taus
-    dist = slot_distribution(taus, params[tagged])
-    return sim_cfg, params, taus, dist
+        taus = solve_attempt_fixed_point_vector(params).taus
+    return taus, slot_distribution(taus, params[0])
 
 
-def cmd_simulate(config: dict, out: Path, jobs: int,
-                 plot_data: bool) -> None:
-    sim_cfg = build_sim_config(config)
+def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
+                 jobs: int = 1) -> None:
     started = time.perf_counter()
     result = simmod.run(sim_cfg)
     elapsed = time.perf_counter() - started
-    reps = int(config.get("sim", {}).get("reps", 1))
+    reps = settings["sim"]["reps"]
     if result.slots is not None:
         traceio.write_slot_trace_csv(result.slots, out / "slot_trace.csv")
     if result.events is not None:
         traceio.write_event_trace_csv(result.events, out / "event_trace.csv")
     traceio.write_ownership_csv(result.success_owners, out / "ownership.csv")
-    payload_bits = float(config.get("payload_bits", 8192))
+    payload_bits = settings["payload_bits"]
     c = result.counters
     summary = {
         "n": sim_cfg.n,
@@ -221,12 +262,11 @@ def cmd_simulate(config: dict, out: Path, jobs: int,
     print(f"simulate: runtime {elapsed:.2f}s", file=sys.stderr)
 
 
-def cmd_model(config: dict, out: Path, jobs: int, plot_data: bool) -> None:
-    tagged = 0
-    sim_cfg, params, taus, dist = _tagged_model(config, tagged)
-    payload_bits = float(config.get("payload_bits", 8192))
+def cmd_model(sim_cfg: simmod.SimConfig, settings: dict, out: Path) -> None:
+    taus, dist = _tagged_model(sim_cfg)
+    payload_bits = settings["payload_bits"]
     throughput = saturation_throughput(dist, payload_bits)
-    model = netcalc.increment_model_from_slots(dist, tagged)
+    model = netcalc.increment_model_from_slots(dist, 0)
     mean_i, var_i = netcalc.increment_moments(model)
     report = {
         "n": sim_cfg.n,
@@ -248,18 +288,15 @@ def cmd_model(config: dict, out: Path, jobs: int, plot_data: bool) -> None:
           f"-> {out}", file=sys.stderr)
 
 
-def cmd_fairness(config: dict, out: Path, jobs: int, plot_data: bool,
+def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
                  ownership: Path | None = None) -> None:
-    section = _analysis_section(config, "fairness")
-    sim_cfg, params, taus, dist = _tagged_model(config, 0)
-    tagged = _station_index(section.get("tagged", 0), sim_cfg.n,
-                            "fairness.tagged")
-    contender = _station_index(section.get("contender", 1), sim_cfg.n,
-                               "fairness.contender")
-    l = int(section.get("l", 1))
-    trunc_tol = float(section.get("trunc_tol", 1e-9))
+    section = settings["fairness"]
+    _, dist = _tagged_model(sim_cfg)
+    tagged, contender, l = (section["tagged"], section["contender"],
+                            section["l"])
     cpmf = fairmod.conditional_pmf(float(dist.q[tagged]),
-                                   float(dist.q[contender]), l, trunc_tol)
+                                   float(dist.q[contender]), l,
+                                   section["trunc_tol"])
     mean, variance = fairmod.pmf_moments(cpmf)
     _write_csv(out / "fairness_pmf.csv", ["k", "probability"],
                [[k, float(pk)] for k, pk in enumerate(cpmf.pmf)])
@@ -273,11 +310,10 @@ def cmd_fairness(config: dict, out: Path, jobs: int, plot_data: bool,
         "mean": mean,
         "variance": variance,
     }
-    window_rows = []
     if ownership is not None:
         owners = traceio.read_ownership_csv(ownership)
-        for wl in section.get("window_lens", [10, 100, 1000]):
-            wl = int(wl)
+        window_rows = []
+        for wl in section["window_lens"]:
             if owners.size < wl:
                 continue
             stats = fairmod.windowed_fairness(owners, wl,
@@ -292,43 +328,37 @@ def cmd_fairness(config: dict, out: Path, jobs: int, plot_data: bool,
              "jain_p95": r[3]} for r in window_rows
         ]
     _write_json(out / "fairness.json", report)
-    if plot_data:
-        _write_csv(out / "plot_pmf.csv", ["k", "probability"],
-                   [[k, float(pk)] for k, pk in enumerate(cpmf.pmf)])
-        if window_rows:
-            _write_csv(out / "plot_jain_window.csv",
-                       ["window_len", "jain_mean"],
-                       [[r[0], r[1]] for r in window_rows])
     print(f"fairness: beta={cpmf.beta:.4f}, E[K|{l}]={mean:.4f} -> {out}",
           file=sys.stderr)
 
 
-def cmd_clock(config: dict, out: Path, jobs: int, plot_data: bool,
+def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
               slot_trace: Path | None = None) -> None:
     if slot_trace is None:
         raise ConfigError("clock analysis needs --slot-trace")
-    section = _analysis_section(config, "clock")
-    sim_cfg, params, taus, dist = _tagged_model(config, 0)
-    tagged = _station_index(section.get("tagged", 0), sim_cfg.n,
-                            "clock.tagged")
+    section = settings["clock"]
+    tagged = section["tagged"]
+    _, dist = _tagged_model(sim_cfg)
     trace = traceio.read_slot_trace_csv(slot_trace)
     model = netcalc.increment_model_from_slots(dist, tagged)
-    mean_i, _ = netcalc.increment_moments(model)
-    fair_increment = float(section.get("fair_increment_us", mean_i))
+    fair_increment = section["fair_increment_us"]
+    if fair_increment is None:
+        fair_increment, _ = netcalc.increment_moments(model)
     ct = clockmod.dcf_clock(trace, tagged, fair_increment)
     _write_csv(out / "clock.csv", ["j", "T_j_us", "I_j_us", "e_j_us"],
                [[j + 1, int(ct.departures[j]), int(ct.increments[j]),
                  float(ct.errors[j])]
                 for j in range(ct.departures.size)])
-    # GPS reference sharing the rate the DCF actually delivers
-    payload_bits = float(config.get("payload_bits", 8192))
+    # GPS reference sharing the rate the DCF actually delivers. Every
+    # station holds n_packets unit packets at t=0 with equal weights, so
+    # GPS serves each at capacity/n and finishes packet j at j*n/capacity.
+    payload_bits = settings["payload_bits"]
     tagged_pps = float(
         saturation_throughput(dist, payload_bits)[tagged] / payload_bits)
-    n_packets = int(ct.departures.size)
-    arrivals = [[(0.0, 1.0)] * n_packets for _ in range(sim_cfg.n)]
-    gps = clockmod.gps_finish_times(arrivals, np.ones(sim_cfg.n),
-                                    capacity=tagged_pps * sim_cfg.n)
-    deviation = clockmod.clock_vs_gps(ct, gps, tagged)
+    capacity = tagged_pps * sim_cfg.n
+    n_packets = ct.departures.size
+    reference = np.arange(1, n_packets + 1) * sim_cfg.n / capacity * 1e6
+    deviation = clockmod.clock_vs_gps(ct, reference)
     summary = {
         "tagged": tagged,
         "packets": n_packets,
@@ -336,7 +366,7 @@ def cmd_clock(config: dict, out: Path, jobs: int, plot_data: bool,
         "error_mean_us": float(np.mean(ct.errors)),
         "error_std_us": float(np.std(ct.errors, ddof=1))
         if n_packets > 1 else 0.0,
-        "gps_capacity_pps": tagged_pps * sim_cfg.n,
+        "gps_capacity_pps": capacity,
         "deviation_vs_gps_us": {
             "mean": deviation.mean,
             "p05": deviation.p05,
@@ -350,18 +380,15 @@ def cmd_clock(config: dict, out: Path, jobs: int, plot_data: bool,
           f"{summary['error_mean_us']:.2f} us -> {out}", file=sys.stderr)
 
 
-def cmd_servicecurve(config: dict, out: Path, jobs: int,
-                     plot_data: bool) -> None:
-    section = _analysis_section(config, "service_curve")
-    sim_cfg, params, taus, dist = _tagged_model(config, 0)
-    tagged = _station_index(section.get("tagged", 0), sim_cfg.n,
-                            "service_curve.tagged")
-    eps = float(section.get("eps", 1e-2))
-    horizon_j = int(section.get("horizon_j", 100))
+def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
+                     plot_data: bool = False) -> None:
+    section = settings["service_curve"]
+    tagged, eps = section["tagged"], section["eps"]
+    _, dist = _tagged_model(sim_cfg)
     model = netcalc.increment_model_from_slots(dist, tagged)
-    theta = section.get("theta")
-    theta = (float(theta) if theta is not None
-             else netcalc.optimize_theta(model, eps, horizon_j))
+    theta = section["theta"]
+    if theta is None:
+        theta = netcalc.optimize_theta(model, eps, section["horizon_j"])
     sc = netcalc.service_curve(model, theta, eps)
     t_max = netcalc.theta_max(model)
     upper = 0.999 * t_max if np.isfinite(t_max) else 1.0
@@ -371,43 +398,38 @@ def cmd_servicecurve(config: dict, out: Path, jobs: int,
         rows.append([float(th), curve.rate, curve.latency, eps])
     _write_csv(out / "service_curve.csv",
                ["theta", "rate_pps", "latency_s", "eps"], rows)
-    payload_bits = float(config.get("payload_bits", 8192))
     report = {
         "tagged": tagged,
         "eps": eps,
         "theta": theta,
         "theta_max": t_max if np.isfinite(t_max) else None,
         "rate_pps": sc.rate,
-        "rate_bps": sc.rate * payload_bits,
+        "rate_bps": sc.rate * settings["payload_bits"],
         "latency_s": sc.latency,
         "increment_mean_us": netcalc.increment_moments(model)[0],
     }
-    arrival = section.get("arrival")
+    arrival = section["arrival"]
     if arrival is not None:
-        env = netcalc.ArrivalEnvelope(
-            sigma_b=float(arrival.get("sigma_b", 0.0)),
-            rho=float(arrival.get("rho_pps", 0.0)),
-        )
+        env = netcalc.ArrivalEnvelope(sigma_b=arrival["sigma_b"],
+                                      rho=arrival["rho_pps"])
         report["delay_bound_s"] = netcalc.delay_bound(env, sc)
         report["backlog_bound_pkts"] = netcalc.backlog_bound(env, sc)
     _write_json(out / "service_bounds.json", report)
     if plot_data:
         _write_csv(out / "plot_envelope.csv", ["j", "t_eps_us"],
                    [[j, netcalc.t_epsilon_us(model, theta, eps, j)]
-                    for j in range(1, horizon_j + 1)])
+                    for j in range(1, section["horizon_j"] + 1)])
     print(f"servicecurve: rate={sc.rate:.2f} pps, latency={sc.latency:.4f} s "
           f"-> {out}", file=sys.stderr)
 
 
-def cmd_estimate(config: dict, out: Path, jobs: int, plot_data: bool,
+def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
                  event_trace: Path | None = None) -> None:
     if event_trace is None:
         raise ConfigError("estimate analysis needs --event-trace")
-    section = _analysis_section(config, "estimate")
-    sim_cfg = build_sim_config(config)
-    station = _station_index(section.get("station", 0), sim_cfg.n,
-                             "estimate.station")
-    min_deps = int(section.get("min_period_departures", 2))
+    section = settings["estimate"]
+    station = section["station"]
+    min_deps = section["min_period_departures"]
     events = traceio.read_event_trace_csv(event_trace).for_station(station)
     estimate = estmod.estimate_fair_rate(events, min_deps)
     report = {
@@ -421,18 +443,14 @@ def cmd_estimate(config: dict, out: Path, jobs: int, plot_data: bool,
         "ratio_rate_pps": estimate.ratio_rate_pps,
     }
     _write_json(out / "estimate.json", report)
-    sample_counts = [int(m) for m in section.get("sample_counts",
-                                                 [100, 1000, 10000])]
-    points = estmod.convergence_report(events, sample_counts, min_deps)
+    points = estmod.convergence_report(events, section["sample_counts"],
+                                       min_deps)
     _write_csv(out / "convergence.csv",
                ["requested_m", "used_m", "truncated", "rate_pps", "ci_low",
                 "ci_high", "ci_width", "ratio_rate_pps"],
                [[p.requested_m, p.used_m, int(p.truncated), p.rate_pps,
                  p.ci_low, p.ci_high, p.ci_width, p.ratio_rate_pps]
                 for p in points])
-    if plot_data:
-        _write_csv(out / "plot_ci_samples.csv", ["m", "ci_width"],
-                   [[p.used_m, p.ci_width] for p in points])
     print(f"estimate: rate={estimate.rate_pps:.2f} pps "
           f"(ci {estimate.ci95[0]:.2f}..{estimate.ci95[1]:.2f}) -> {out}",
           file=sys.stderr)
@@ -452,23 +470,18 @@ DEMO_CONFIG = {
 }
 
 
-def cmd_demo(out: Path, jobs: int, plot_data: bool,
-             seed: int | None = None) -> None:
+def cmd_demo(out: Path, seed: int | None = None) -> None:
     """End-to-end smoke pipeline on a small saturated scenario."""
-    config = json.loads(json.dumps(DEMO_CONFIG))
-    _apply_env_overrides(config)
-    if seed is not None:
-        config["sim"]["seed"] = seed
+    config = _apply_overrides(json.loads(json.dumps(DEMO_CONFIG)), seed)
+    sim_cfg = build_sim_config(config)
+    settings = _read_settings(config, sim_cfg.n, _SECTIONS)
     _write_json(out / "config.json", config)
-    cmd_simulate(config, out, jobs, plot_data)
-    cmd_model(config, out, jobs, plot_data)
-    cmd_fairness(config, out, jobs, plot_data,
-                 ownership=out / "ownership.csv")
-    cmd_clock(config, out, jobs, plot_data,
-              slot_trace=out / "slot_trace.csv")
-    cmd_servicecurve(config, out, jobs, plot_data)
-    cmd_estimate(config, out, jobs, plot_data,
-                 event_trace=out / "event_trace.csv")
+    cmd_simulate(sim_cfg, settings, out)
+    cmd_model(sim_cfg, settings, out)
+    cmd_fairness(sim_cfg, settings, out, ownership=out / "ownership.csv")
+    cmd_clock(sim_cfg, settings, out, slot_trace=out / "slot_trace.csv")
+    cmd_servicecurve(sim_cfg, settings, out)
+    cmd_estimate(sim_cfg, settings, out, event_trace=out / "event_trace.csv")
     print(f"demo: full pipeline -> {out}", file=sys.stderr)
 
 
@@ -478,74 +491,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DCF fairness calculus: simulate, model, and analyze",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_config=True):
-        if needs_config:
+    # command, the config section it reads besides sim and mac, help, and
+    # its one option of its own, passed to cmd_<command> after out
+    for name, section, text, option, spec in (
+            ("simulate", "sim", "run the slot-level simulator", "--jobs",
+             dict(type=int, default=1, help="parallel replications")),
+            ("model", None, "analytical fixed point and rates", None, None),
+            ("fairness", "fairness", "conditional pmf and Jain windows",
+             "--ownership", dict(type=_input_path, help="success-ownership "
+                                 "CSV for windowed statistics")),
+            ("clock", "clock", "departure clock vs GPS reference",
+             "--slot-trace", dict(type=_input_path, help="slot trace CSV")),
+            ("servicecurve", "service_curve",
+             "stochastic service curve and bounds", "--plot-data",
+             dict(action="store_true",
+                  help="also write plot_envelope.csv (j, t_eps_us)")),
+            ("estimate", "estimate", "passive fair-rate estimate",
+             "--event-trace", dict(type=_input_path, help="event trace CSV")),
+            ("demo", None, "small end-to-end pipeline", None, None)):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(sections=(section,) if section else (), option=None)
+        if name != "demo":
             p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel replications")
-        p.add_argument("--plot-data", action="store_true",
-                       help="emit two-column plotting CSVs")
-
-    common(sub.add_parser("simulate", help="run the slot-level simulator"))
-    common(sub.add_parser("model", help="analytical fixed point and rates"))
-    p = sub.add_parser("fairness", help="conditional pmf and Jain windows")
-    common(p)
-    p.add_argument("--ownership", default=None,
-                   help="success-ownership CSV for windowed statistics")
-    p = sub.add_parser("clock", help="departure clock vs GPS reference")
-    common(p)
-    p.add_argument("--slot-trace", default=None, help="slot trace CSV")
-    common(sub.add_parser("servicecurve",
-                          help="stochastic service curve and bounds"))
-    p = sub.add_parser("estimate", help="passive fair-rate estimate")
-    common(p)
-    p.add_argument("--event-trace", default=None, help="event trace CSV")
-    p = sub.add_parser("demo", help="small end-to-end pipeline")
-    common(p, needs_config=False)
+        if option:
+            p.set_defaults(option=p.add_argument(option, **spec).dest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "demo":
-            out = _out_dir({}, args.out or "demo_out")
-            cmd_demo(out, args.jobs, args.plot_data, seed=args.seed)
+            cmd_demo(_out_dir(args.out or "demo_out"), seed=args.seed)
             return EXIT_OK
         config = load_config(args.config, seed_override=args.seed)
-        out = _out_dir(config, args.out)
-        if args.command == "simulate":
-            cmd_simulate(config, out, args.jobs, args.plot_data)
-        elif args.command == "model":
-            cmd_model(config, out, args.jobs, args.plot_data)
-        elif args.command == "fairness":
-            ownership = Path(args.ownership) if args.ownership else None
-            if ownership is not None and not ownership.exists():
-                raise ConfigError(f"ownership trace not found: {ownership}")
-            cmd_fairness(config, out, args.jobs, args.plot_data, ownership)
-        elif args.command == "clock":
-            trace = Path(args.slot_trace) if args.slot_trace else None
-            if trace is not None and not trace.exists():
-                raise ConfigError(f"slot trace not found: {trace}")
-            cmd_clock(config, out, args.jobs, args.plot_data, trace)
-        elif args.command == "servicecurve":
-            cmd_servicecurve(config, out, args.jobs, args.plot_data)
-        elif args.command == "estimate":
-            trace = Path(args.event_trace) if args.event_trace else None
-            if trace is not None and not trace.exists():
-                raise ConfigError(f"event trace not found: {trace}")
-            cmd_estimate(config, out, args.jobs, args.plot_data, trace)
+        sim_cfg = build_sim_config(config)
+        settings = _read_settings(config, sim_cfg.n, args.sections)
+        out = _out_dir(args.out or settings["out_dir"])
+        extra = (getattr(args, args.option),) if args.option else ()
+        globals()[f"cmd_{args.command}"](sim_cfg, settings, out, *extra)
         return EXIT_OK
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYTIC
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC

@@ -191,17 +191,17 @@ def dcf_clock(slot_trace: SlotTrace, tagged: int,
     )
 
 
-def clock_vs_gps(clock: ClockTrace, gps: GpsReference,
-                 tagged: int) -> DeviationSummary:
-    """Per-packet deviation of the clock from the GPS reference.
+def clock_vs_gps(clock: ClockTrace,
+                 reference: np.ndarray) -> DeviationSummary:
+    """Per-packet deviation of the clock from a reference departure series.
 
-    deviation_j = T_j - finish_times[tagged][j]; the two series must cover
-    the same packet index range.
+    reference holds the tagged station's reference finish times in us, such
+    as gps_finish_times(...).finish_times[tagged]; deviation_j = T_j -
+    reference[j], and the two series must cover the same packet index range.
     """
-    reference = gps.finish_times[tagged]
     if reference.size != clock.departures.size:
         raise AlignmentError(
-            f"clock has {clock.departures.size} packets, GPS reference has "
+            f"clock has {clock.departures.size} packets, reference has "
             f"{reference.size}"
         )
     dev = clock.departures.astype(float) - reference

@@ -2,8 +2,23 @@
 
 Two broad families matter for the CLI exit-code contract: input problems
 (bad configs, malformed trace files) map to exit code 2, analytical and
-domain failures map to exit code 3.
+domain failures map to exit code 3. The type predicates below are shared
+by the config checks that raise ConfigError.
 """
+
+import numbers
+import sys
+
+
+def is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not an integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite Python or numpy int or float that a float can hold."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 class Error(Exception):

@@ -82,19 +82,19 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
     limited by per-term floating-point accuracy and can sit slightly above
     trunc_tol even though the true remaining mass is provably below it.
     """
-    if q_tagged <= 0.0:
+    if not q_tagged > 0.0:
         raise ConditioningError(
             "tagged ownership probability must be positive to condition on "
             f"its successes, got {q_tagged}"
         )
-    if q_contender < 0.0:
+    if not q_contender >= 0.0:
         raise ValueError("contender ownership probability must be >= 0")
     if q_tagged + q_contender > 1.0 + 1e-12:
         raise ValueError("ownership probabilities must sum to at most 1")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if trunc_tol <= 0.0:
-        raise ValueError("trunc_tol must be positive")
+    if not trunc_tol > 0.0:
+        raise ValueError(f"trunc_tol must be positive, got {trunc_tol}")
 
     beta = q_contender / (q_tagged + q_contender)
     if beta == 0.0:
@@ -181,8 +181,8 @@ def jain_index(x: Sequence[float] | np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise UndefinedIndexError("empty allocation vector")
-    if np.any(x < 0.0):
-        raise ValueError("allocation entries must be nonnegative")
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError("allocation entries must be finite and nonnegative")
     total = float(np.sum(x))
     square = float(np.sum(x * x))
     if square == 0.0:

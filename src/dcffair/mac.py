@@ -17,12 +17,12 @@ yields the saturation operating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, is_int
 
 #: Classic DSSS-flavored timing profile, microseconds. Configuration data,
 #: not constants of the model.
@@ -59,24 +59,16 @@ class MacParams:
     payload_dur: int = DEFAULT_PAYLOAD_DUR
 
     def __post_init__(self):
-        if self.cw_min < 1:
-            raise ConfigError(f"cw_min must be >= 1, got {self.cw_min}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 0 if f.name in ("max_backoff_stage", "retry_limit") else 1
+            if not is_int(value) or value < least:
+                raise ConfigError(
+                    f"{f.name} must be an integer >= {least}, got {value!r}")
         if self.cw_max < self.cw_min:
             raise ConfigError(
                 f"cw_max ({self.cw_max}) must be >= cw_min ({self.cw_min})"
             )
-        if self.max_backoff_stage < 0:
-            raise ConfigError("max_backoff_stage must be >= 0")
-        if self.retry_limit < 0:
-            raise ConfigError("retry_limit must be >= 0")
-        for name in ("slot_sigma", "difs", "sifs", "ack_dur", "header_dur",
-                     "payload_dur"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(
-                    f"{name} must be a positive integer (microseconds), "
-                    f"got {value!r}"
-                )
 
     def window(self, stage: int) -> int:
         """Contention window size at a retry stage (doubling, clamped)."""

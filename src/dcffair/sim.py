@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_finite, is_int
 from .mac import MacParams
 from .traceio import COLLISION, IDLE, SUCCESS, EventTrace, SlotTrace
 
@@ -80,31 +80,32 @@ class SimConfig:
         rates = self.arrival_rate_pps
         if rates is None:
             raise ConfigError("poisson mode requires arrival_rate_pps")
-        if isinstance(rates, (int, float)):
-            rates = [float(rates)] * self.n
-        else:
-            rates = [float(r) for r in rates]
+        if not isinstance(rates, (list, tuple, np.ndarray)):
+            rates = [rates] * self.n
         if len(rates) != self.n:
             raise ConfigError(f"{len(rates)} arrival rates for {self.n} stations")
-        if any(r < 0 for r in rates):
-            raise ConfigError("arrival rates must be >= 0")
-        return rates
+        if not all(is_finite(r) and r >= 0 for r in rates):
+            raise ConfigError("arrival_rate_pps must be finite numbers >= 0, "
+                              f"got {self.arrival_rate_pps!r}")
+        return [float(r) for r in rates]
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"station count must be >= 1, got {self.n}")
-        if self.mode not in ("saturated", "poisson"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        has_slots = self.horizon_slots is not None
-        has_us = self.horizon_us is not None
-        if has_slots == has_us:
+        if (self.horizon_slots is None) == (self.horizon_us is None):
             raise ConfigError(
                 "exactly one of horizon_slots / horizon_us must be set"
             )
-        if has_slots and self.horizon_slots <= 0:
-            raise ConfigError("horizon_slots must be > 0")
-        if has_us and self.horizon_us <= 0:
-            raise ConfigError("horizon_us must be > 0")
+        horizon = "horizon_slots" if self.horizon_us is None else "horizon_us"
+        for name, least in (("n", 1), (horizon, 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("record_slot_trace", "record_event_trace"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got "
+                                  f"{getattr(self, name)!r}")
+        if self.mode not in ("saturated", "poisson"):
+            raise ConfigError(f"unknown mode {self.mode!r}")
         sigmas = {p.slot_sigma for p in self.station_params()}
         if len(sigmas) != 1:
             raise ConfigError(
@@ -440,8 +441,8 @@ def replicate(config: SimConfig, reps: int,
     jobs > 1 replications execute in a process pool; results are assembled
     in replication order either way.
     """
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
+    if not is_int(reps) or reps < 1:
+        raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
     if isinstance(reducer, str):
         if reducer not in _NAMED_STATISTICS:
             raise ConfigError(

@@ -16,12 +16,16 @@ def saturated_arrivals(n, packets, size=1.0):
 
 
 class TestGps:
-    def test_two_equal_saturated_stations(self):
-        # C = 1 packet/ms: each station finishes its k-th packet at 2k ms
-        gps = gps_finish_times(saturated_arrivals(2, 4), [1.0, 1.0],
-                               capacity=1000.0)
-        assert gps.finish_times[0] == pytest.approx([2000, 4000, 6000, 8000])
-        assert gps.finish_times[1] == pytest.approx([2000, 4000, 6000, 8000])
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_two_equal_saturated_stations(self, n):
+        # n equal stations with unit packets at t=0 share C: each finishes
+        # its j-th packet at j*n/C s, the closed form the CLI clock uses
+        packets, capacity = 3000, 1234.5
+        gps = gps_finish_times(saturated_arrivals(n, packets), np.ones(n),
+                               capacity=capacity)
+        closed_form = np.arange(1, packets + 1) * n / capacity * 1e6
+        for finish in gps.finish_times:
+            np.testing.assert_allclose(finish, closed_form, rtol=1e-9)
 
     def test_single_station_full_rate(self):
         gps = gps_finish_times(saturated_arrivals(1, 3), [1.0],
@@ -109,7 +113,7 @@ class TestClockVsGps:
         ct = dcf_clock(trace, tagged=0, fair_increment=1000.0)
         gps = gps_finish_times(saturated_arrivals(1, 4), [1.0],
                                capacity=1000.0)  # 1 packet per 1000 us
-        summary = clock_vs_gps(ct, gps, tagged=0)
+        summary = clock_vs_gps(ct, gps.finish_times[0])
         assert summary.mean == 0.0
         assert summary.max_abs == 0.0
 
@@ -119,7 +123,7 @@ class TestClockVsGps:
         gps = gps_finish_times(saturated_arrivals(1, 5), [1.0],
                                capacity=1000.0)
         with pytest.raises(AlignmentError):
-            clock_vs_gps(ct, gps, tagged=0)
+            clock_vs_gps(ct, gps.finish_times[0])
 
     def test_simulated_clock_tracks_matched_gps(self):
         # two saturated stations against a GPS whose capacity is the rate
@@ -142,7 +146,7 @@ class TestClockVsGps:
         tagged_pps = 1e6 / mean_i
         gps = gps_finish_times(saturated_arrivals(n, packets), [1.0, 1.0],
                                capacity=n * tagged_pps)
-        summary = clock_vs_gps(ct, gps, tagged=0)
+        summary = clock_vs_gps(ct, gps.finish_times[0])
         walk_sd = np.sqrt(var_i * packets / 3.0)
         assert abs(summary.mean) <= 4.0 * walk_sd
         assert abs(summary.mean) / float(ct.departures[-1]) <= 0.05
@@ -166,7 +170,7 @@ class TestClockVsGps:
         ct = dcf_clock(res.slots, 0, mean_i)
         gps = gps_finish_times(saturated_arrivals(n, packets),
                                np.ones(n), capacity=n * 1e6 / mean_i)
-        summary = clock_vs_gps(ct, gps, tagged=0)
+        summary = clock_vs_gps(ct, gps.finish_times[0])
         band = summary.p95 - summary.p05
         assert band == pytest.approx(4093264.38, rel=1e-6)
         assert summary.max_abs == pytest.approx(4636142.38, rel=1e-6)

@@ -58,6 +58,12 @@ class TestConditionalPmf:
         with pytest.raises(ConditioningError):
             conditional_pmf(0.0, 0.5, 1)
 
+    @pytest.mark.parametrize("q_contender, trunc_tol",
+                             [(math.nan, 1e-9), (0.3, math.nan)])
+    def test_non_finite_input_rejected(self, q_contender, trunc_tol):
+        with pytest.raises(ValueError):
+            conditional_pmf(0.3, q_contender, 1, trunc_tol=trunc_tol)
+
     def test_normalization_random_draws(self, rng):
         for _ in range(1000):
             q_t = rng.uniform(0.01, 0.6)
@@ -132,6 +138,10 @@ class TestJain:
     def test_all_zero_rejected(self):
         with pytest.raises(UndefinedIndexError):
             jain_index([0.0, 0.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            jain_index([math.nan, 1.0])
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -22,6 +22,8 @@ def test_params_validation():
         MacParams(slot_sigma=0)
     with pytest.raises(ConfigError):
         MacParams(payload_dur=10.5)
+    with pytest.raises(ConfigError):
+        MacParams(cw_min=32.0)
 
 
 def test_window_doubles_and_clamps():

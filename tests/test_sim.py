@@ -26,6 +26,14 @@ class TestConfig:
             SimConfig(n=2, horizon_slots=10, horizon_us=10).validate()
         with pytest.raises(ConfigError):
             SimConfig(n=2).validate()
+        with pytest.raises(ConfigError):
+            SimConfig(n=2, horizon_slots=100.5).validate()
+
+    @pytest.mark.parametrize("field", [{"n": 2.7},
+                                       {"record_slot_trace": "no"}])
+    def test_rejects_wrongly_typed_fields(self, field):
+        with pytest.raises(ConfigError):
+            SimConfig(**{"n": 2, "horizon_slots": 10, **field}).validate()
 
     def test_poisson_needs_rates(self):
         with pytest.raises(ConfigError):
