@@ -28,9 +28,9 @@ from .netcalc import (ArrivalEnvelope, IncrementModel, StochasticServiceCurve,
                       increment_moments, log_mgf, optimize_theta,
                       service_curve, t_epsilon_us, theta_max)
 from .sim import SimConfig, SimCounters, SimResult, replicate, run
-from .traceio import (EventTrace, SlotTrace, SlotTraceRecord,
-                      read_event_trace_csv, read_ownership_csv,
-                      read_slot_trace_csv, write_event_trace_csv,
-                      write_ownership_csv, write_slot_trace_csv)
+from .traceio import (EventTrace, SlotTrace, read_event_trace_csv,
+                      read_ownership_csv, read_slot_trace_csv,
+                      write_event_trace_csv, write_ownership_csv,
+                      write_slot_trace_csv)
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ sets config["sim"]["seed"]. Values are parsed as JSON when possible.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -50,6 +49,8 @@ _COUNTS = (lambda v, n: isinstance(v, list) and all(
 _POSITIVE = (lambda v, n: is_finite(v) and v > 0, "a number > 0", float)
 _NON_NEGATIVE = (lambda v, n: is_finite(v) and v >= 0, "a number >= 0", float)
 _UNIT = (lambda v, n: is_finite(v) and 0 < v < 1, "a number in (0, 1)", float)
+_EPS = (lambda v, n: _UNIT[0](v, n) and is_finite(1.0 / v),  # ln(1/eps)
+        "a number in (0, 1) with a finite 1/eps", float)
 _TEXT = (lambda v, n: isinstance(v, str), "a string", str)
 
 # top-level fields; other top-level keys (scenario, ...) stay open
@@ -62,7 +63,7 @@ _SECTIONS = {
                  "window_lens": (_COUNTS, [10, 100, 1000])},
     "clock": {"tagged": (_STATION, 0), "fair_increment_us": (_POSITIVE, None)},
     "service_curve": {
-        "tagged": (_STATION, 0), "eps": (_UNIT, 1e-2),
+        "tagged": (_STATION, 0), "eps": (_EPS, 1e-2),
         "horizon_j": (_COUNT, 100), "theta": (_POSITIVE, None),
         "arrival": ({"sigma_b": (_NON_NEGATIVE, 0.0),
                      "rho_pps": (_NON_NEGATIVE, 0.0)}, None)},
@@ -172,6 +173,10 @@ def _read_settings(config: dict, n: int, sections) -> dict:
     for name in sections:
         settings[name] = _object(config.get(name, {}), _SECTIONS[name], name,
                                  n, closed=name != "sim")
+    pair = settings.get("fairness")
+    if pair and pair["tagged"] == pair["contender"]:
+        raise ConfigError("fairness.tagged and fairness.contender must be "
+                          f"different stations, both are {pair['tagged']}")
     return settings
 
 
@@ -198,13 +203,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _tagged_model(sim_cfg: simmod.SimConfig):
@@ -253,10 +251,9 @@ def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     _write_json(out / "summary.json", summary)
     if reps > 1:
         stats = simmod.replicate(sim_cfg, reps, "throughput_pps", jobs=jobs)
-        _write_csv(out / "replications.csv",
-                   ["replication"] + [f"throughput_pps_{i}"
-                                      for i in range(sim_cfg.n)],
-                   [[r] + list(map(float, stats[r])) for r in range(reps)])
+        traceio.write_csv(out / "replications.csv", {
+            "replication": range(reps),
+            **{f"throughput_pps_{i}": stats[:, i] for i in range(sim_cfg.n)}})
     print(f"simulate: {c.n_slots} slots, {c.wallclock_us} us simulated "
           f"-> {out}", file=sys.stderr)
     print(f"simulate: runtime {elapsed:.2f}s", file=sys.stderr)
@@ -298,8 +295,8 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
                                    float(dist.q[contender]), l,
                                    section["trunc_tol"])
     mean, variance = fairmod.pmf_moments(cpmf)
-    _write_csv(out / "fairness_pmf.csv", ["k", "probability"],
-               [[k, float(pk)] for k, pk in enumerate(cpmf.pmf)])
+    traceio.write_csv(out / "fairness_pmf.csv",
+                      {"k": range(cpmf.pmf.size), "probability": cpmf.pmf})
     report = {
         "tagged": tagged,
         "contender": contender,
@@ -312,21 +309,13 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     }
     if ownership is not None:
         owners = traceio.read_ownership_csv(ownership)
-        window_rows = []
-        for wl in section["window_lens"]:
-            if owners.size < wl:
-                continue
-            stats = fairmod.windowed_fairness(owners, wl,
-                                              n_stations=sim_cfg.n)
-            window_rows.append([wl, stats.jain_mean, stats.jain_p05,
-                                stats.jain_p95])
-        _write_csv(out / "fairness_windows.csv",
-                   ["window_len", "jain_mean", "jain_p05", "jain_p95"],
-                   window_rows)
-        report["windows"] = [
-            {"window_len": r[0], "jain_mean": r[1], "jain_p05": r[2],
-             "jain_p95": r[3]} for r in window_rows
-        ]
+        stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
+                 for wl in section["window_lens"] if owners.size >= wl]
+        columns = {name: [getattr(s, name) for s in stats] for name in
+                   ("window_len", "jain_mean", "jain_p05", "jain_p95")}
+        traceio.write_csv(out / "fairness_windows.csv", columns)
+        report["windows"] = [{name: getattr(s, name) for name in columns}
+                             for s in stats]
     _write_json(out / "fairness.json", report)
     print(f"fairness: beta={cpmf.beta:.4f}, E[K|{l}]={mean:.4f} -> {out}",
           file=sys.stderr)
@@ -345,10 +334,9 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     if fair_increment is None:
         fair_increment, _ = netcalc.increment_moments(model)
     ct = clockmod.dcf_clock(trace, tagged, fair_increment)
-    _write_csv(out / "clock.csv", ["j", "T_j_us", "I_j_us", "e_j_us"],
-               [[j + 1, int(ct.departures[j]), int(ct.increments[j]),
-                 float(ct.errors[j])]
-                for j in range(ct.departures.size)])
+    traceio.write_csv(out / "clock.csv", {
+        "j": range(1, ct.departures.size + 1), "T_j_us": ct.departures,
+        "I_j_us": ct.increments, "e_j_us": ct.errors})
     # GPS reference sharing the rate the DCF actually delivers. Every
     # station holds n_packets unit packets at t=0 with equal weights, so
     # GPS serves each at capacity/n and finishes packet j at j*n/capacity.
@@ -392,12 +380,11 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     sc = netcalc.service_curve(model, theta, eps)
     t_max = netcalc.theta_max(model)
     upper = 0.999 * t_max if np.isfinite(t_max) else 1.0
-    rows = []
-    for th in np.geomspace(upper * 1e-4, upper, 32):
-        curve = netcalc.service_curve(model, float(th), eps)
-        rows.append([float(th), curve.rate, curve.latency, eps])
-    _write_csv(out / "service_curve.csv",
-               ["theta", "rate_pps", "latency_s", "eps"], rows)
+    thetas = np.geomspace(upper * 1e-4, upper, 32)
+    curves = [netcalc.service_curve(model, th, eps) for th in thetas.tolist()]
+    traceio.write_csv(out / "service_curve.csv", {
+        "theta": thetas, "rate_pps": [c.rate for c in curves],
+        "latency_s": [c.latency for c in curves], "eps": [eps] * len(curves)})
     report = {
         "tagged": tagged,
         "eps": eps,
@@ -416,9 +403,10 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         report["backlog_bound_pkts"] = netcalc.backlog_bound(env, sc)
     _write_json(out / "service_bounds.json", report)
     if plot_data:
-        _write_csv(out / "plot_envelope.csv", ["j", "t_eps_us"],
-                   [[j, netcalc.t_epsilon_us(model, theta, eps, j)]
-                    for j in range(1, section["horizon_j"] + 1)])
+        js = range(1, section["horizon_j"] + 1)
+        traceio.write_csv(out / "plot_envelope.csv", {
+            "j": js, "t_eps_us": [netcalc.t_epsilon_us(model, theta, eps, j)
+                                  for j in js]})
     print(f"servicecurve: rate={sc.rate:.2f} pps, latency={sc.latency:.4f} s "
           f"-> {out}", file=sys.stderr)
 
@@ -445,12 +433,10 @@ def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     _write_json(out / "estimate.json", report)
     points = estmod.convergence_report(events, section["sample_counts"],
                                        min_deps)
-    _write_csv(out / "convergence.csv",
-               ["requested_m", "used_m", "truncated", "rate_pps", "ci_low",
-                "ci_high", "ci_width", "ratio_rate_pps"],
-               [[p.requested_m, p.used_m, int(p.truncated), p.rate_pps,
-                 p.ci_low, p.ci_high, p.ci_width, p.ratio_rate_pps]
-                for p in points])
+    columns = {name: [getattr(p, name) for p in points]
+               for name in estmod.ConvergencePoint.__dataclass_fields__}
+    columns["truncated"] = list(map(int, columns["truncated"]))
+    traceio.write_csv(out / "convergence.csv", columns)
     print(f"estimate: rate={estimate.rate_pps:.2f} pps "
           f"(ci {estimate.ci95[0]:.2f}..{estimate.ci95[1]:.2f}) -> {out}",
           file=sys.stderr)

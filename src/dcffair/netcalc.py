@@ -172,8 +172,9 @@ def t_epsilon_us(model: IncrementModel, theta: float, eps: float,
     """Time (us) by which the j-th departure occurs w.p. >= 1 - eps."""
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must be in (0, 1]")
+    if not (0.0 < eps <= 1.0 and math.isfinite(1.0 / eps)):
+        raise ValueError(f"eps must be in (0, 1] with a finite 1/eps, "
+                         f"got {eps!r}")
     return (j * log_mgf(model, theta) + math.log(1.0 / eps)) / theta
 
 
@@ -186,8 +187,9 @@ def service_curve(model: IncrementModel, theta: float,
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
+    if not (0.0 < eps < 1.0 and math.isfinite(1.0 / eps)):
+        raise ValueError(f"eps must be in (0, 1) with a finite 1/eps, "
+                         f"got {eps!r}")
     lam = log_mgf(model, theta)
     rate_ppus = theta / lam
     latency_us = math.log(1.0 / eps) / theta

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, is_finite, is_int
 from .mac import MacParams
-from .traceio import COLLISION, IDLE, SUCCESS, EventTrace, SlotTrace
+from .traceio import EventTrace, SlotTrace
 
 _BACKOFF_BUFFER = 4096
 
@@ -236,11 +236,11 @@ def run(config: SimConfig, *, replication: int = 0,
 
     record_slots = config.record_slot_trace
     record_events = config.record_event_trace
-    codes: list[int] = []
-    owners_rec: list[int] = []
-    durations: list[int] = []
+    # transmission slots only; the idle slots are filled in at the end
+    success_slots_rec: list[int] = []
+    collision_slots_rec: list[int] = []
+    collision_us: list[int] = []
     colliders_rec: list[tuple[int, ...]] = []
-    ev_station: list[int] = []
     ev_packet: list[int] = []
     ev_arrival: list[float] = []
     ev_departure: list[float] = []
@@ -303,6 +303,8 @@ def run(config: SimConfig, *, replication: int = 0,
                 i = armed[0]
                 st = stations[i]
                 dur = st.params.d_succ
+                if record_slots:
+                    success_slots_rec.append(slot_idx)
                 wall += dur
                 slot_idx += 1
                 success_slots += 1
@@ -310,12 +312,7 @@ def run(config: SimConfig, *, replication: int = 0,
                 attempts[i] += 1
                 total_successes += 1
                 success_owners.append(i)
-                if record_slots:
-                    codes.append(SUCCESS)
-                    owners_rec.append(i)
-                    durations.append(dur)
                 if record_events:
-                    ev_station.append(i)
                     ev_packet.append(st.packet_seq)
                     ev_arrival.append(st.head_arrival)
                     ev_departure.append(float(wall))
@@ -336,14 +333,13 @@ def run(config: SimConfig, *, replication: int = 0,
                     break
             else:
                 dur = max(stations[i].params.d_coll for i in armed)
+                if record_slots:
+                    collision_slots_rec.append(slot_idx)
+                    collision_us.append(dur)
+                    colliders_rec.append(tuple(sorted(armed)))
                 wall += dur
                 slot_idx += 1
                 collision_slots += 1
-                if record_slots:
-                    codes.append(COLLISION)
-                    owners_rec.append(-1)
-                    durations.append(dur)
-                    colliders_rec.append(tuple(sorted(armed)))
                 for i in armed:
                     st = stations[i]
                     attempts[i] += 1
@@ -368,13 +364,10 @@ def run(config: SimConfig, *, replication: int = 0,
                                        (slot_idx + st.draw_backoff(), i))
         else:
             # idle run up to the next armed station, arrival, or horizon
-            if heap:
-                jump = heap[0][0] - slot_idx
-            elif next_pending is math.inf:
+            if not heap and next_pending is math.inf:
                 break  # nothing backlogged, nothing arriving
-            else:
-                jump = max(int(math.ceil((next_pending - wall) / sigma)), 1)
-            if poisson and next_pending is not math.inf:
+            jump = heap[0][0] - slot_idx if heap else math.inf
+            if next_pending is not math.inf:
                 until_arrival = int(math.ceil((next_pending - wall) / sigma))
                 jump = min(jump, max(until_arrival, 1))
             if horizon_slots is not None:
@@ -384,17 +377,6 @@ def run(config: SimConfig, *, replication: int = 0,
             slot_idx += jump
             wall += jump * sigma
             idle_slots += jump
-            if record_slots:
-                codes.extend([IDLE] * jump)
-                owners_rec.extend([-1] * jump)
-                durations.extend([sigma] * jump)
-
-    queue_final = np.zeros(n, dtype=np.int64)
-    for i, st in enumerate(stations):
-        if poisson:
-            queue_final[i] = len(st.queue) + (1 if st.backlogged else 0)
-        else:
-            queue_final[i] = 1  # head-of-line packet currently in service
 
     counters = SimCounters(
         arrivals=np.array(arrivals_ct, dtype=np.int64),
@@ -402,16 +384,22 @@ def run(config: SimConfig, *, replication: int = 0,
         drops=np.array(drops, dtype=np.int64),
         attempts=np.array(attempts, dtype=np.int64),
         collisions_involved=np.array(collisions_involved, dtype=np.int64),
-        queue_final=queue_final,
+        # queued packets plus the head-of-line one (always one if saturated)
+        queue_final=np.array([len(st.queue) + st.backlogged
+                              for st in stations], dtype=np.int64),
         n_slots=slot_idx,
         idle_slots=idle_slots,
         success_slots=success_slots,
         collision_slots=collision_slots,
         wallclock_us=wall,
     )
-    slots = (SlotTrace.from_lists(codes, owners_rec, durations, colliders_rec)
-             if record_slots else None)
-    events = (EventTrace.from_lists(ev_station, ev_packet, ev_arrival,
+    d_succ = np.array([p.d_succ for p in params], dtype=np.int64)
+    slots = (SlotTrace.from_transmissions(
+        slot_idx, sigma, success_slots_rec, success_owners,
+        d_succ[success_owners], collision_slots_rec, collision_us,
+        colliders_rec) if record_slots else None)
+    # every success is a departure, so the event stations are the owners
+    events = (EventTrace.from_lists(success_owners, ev_packet, ev_arrival,
                                     ev_departure)
               if record_events else None)
     return SimResult(

@@ -4,36 +4,35 @@ Slot trace CSV:   slot_index,wallclock_start_us,outcome,owner_or_colliders,durat
 Event trace CSV:  station,packet_id,arrival_us,departure_us
 Ownership CSV:    slot_index,owner_id
 
-Collision members are ';'-joined in owner_or_colliders. Timestamps that are
-integral are written without a decimal point so reruns stay byte-identical.
+Collision members are ';'-joined in owner_or_colliders. Rows end in CRLF,
+as with the csv module; the readers accept CRLF and LF alike. Integral
+event timestamps print as integers, the others as the float's repr.
+
+Files stream in chunks of _CHUNK_ROWS rows, so memory stays flat however
+long the trace: a chunk's columns become Python scalars with one tolist()
+each and its rows one string, and a chunk of lines is parsed by np.loadtxt.
 """
 
 from __future__ import annotations
 
-import csv
+import io
+import re
+import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import TraceFormatError
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
-_OUTCOME_NAMES = {IDLE: "idle", SUCCESS: "success", COLLISION: "collision"}
-_OUTCOME_CODES = {name: code for code, name in _OUTCOME_NAMES.items()}
+_OUTCOME_NAMES = np.array(["idle", "success", "collision"], dtype=object)
 
-
-@dataclass(frozen=True)
-class SlotTraceRecord:
-    """One slot: outcome, participants, duration, wallclock placement."""
-
-    slot_index: int
-    wallclock_start: int
-    outcome: str
-    owner: int | None
-    colliders: tuple[int, ...]
-    duration: int
+_CHUNK_ROWS = 8192
+# a collision's outcome and colliders, as read back
+_COLLISION_FIELDS = re.compile(r",collision,([^,\n]*),")
 
 
 @dataclass
@@ -60,25 +59,25 @@ class SlotTrace:
             colliders=list(colliders or []),
         )
 
+    @classmethod
+    def from_transmissions(cls, n_slots: int, idle_us: int, successes,
+                           owners, success_us, collisions, collision_us,
+                           colliders) -> "SlotTrace":
+        """n_slots idle slots of idle_us each, except at the slot indices
+        successes (won by owners) and collisions."""
+        trace = cls.from_lists(np.zeros(n_slots), np.full(n_slots, -1),
+                               np.full(n_slots, idle_us), colliders)
+        trace.codes[successes], trace.codes[collisions] = SUCCESS, COLLISION
+        trace.durations[successes] = success_us
+        trace.durations[collisions] = collision_us
+        trace.owners[successes] = owners
+        return trace
+
     def wallclock_starts(self) -> np.ndarray:
         """Slot start times: prefix sums of the preceding durations."""
         starts = np.zeros(len(self), dtype=np.int64)
         np.cumsum(self.durations[:-1], out=starts[1:])
         return starts
-
-    def records(self) -> Iterator[SlotTraceRecord]:
-        starts = self.wallclock_starts()
-        coll_iter = iter(self.colliders)
-        for i in range(len(self)):
-            code = int(self.codes[i])
-            yield SlotTraceRecord(
-                slot_index=i,
-                wallclock_start=int(starts[i]),
-                outcome=_OUTCOME_NAMES[code],
-                owner=int(self.owners[i]) if code == SUCCESS else None,
-                colliders=next(coll_iter) if code == COLLISION else (),
-                duration=int(self.durations[i]),
-            )
 
 
 @dataclass
@@ -105,119 +104,143 @@ class EventTrace:
 
     def for_station(self, station: int) -> "EventTrace":
         mask = self.station == station
-        return EventTrace(
-            station=self.station[mask],
-            packet_id=self.packet_id[mask],
-            arrival=self.arrival[mask],
-            departure=self.departure[mask],
-        )
+        return EventTrace(**{k: v[mask] for k, v in vars(self).items()})
 
 
-def _fmt_us(value: float) -> str:
-    # integral microsecond values print as integers
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+def _chunks(n_rows: int) -> Iterable[tuple[int, int]]:
+    return ((a, min(a + _CHUNK_ROWS, n_rows))
+            for a in range(0, n_rows, _CHUNK_ROWS))
+
+
+def _write_rows(path: str | Path, header: Sequence[str], chunks) -> None:
+    """Write the header, then each chunk of equal-length columns of Python
+    scalars as rows; "{}" prints an int as str and a float as repr, and rows
+    end in CRLF, as with the csv module."""
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(row.format(*header))
+        for columns in chunks:
+            fh.write("".join(map(row.format, *columns)))
+
+
+def write_csv(path: str | Path, columns: dict) -> None:
+    """Named equal-length columns (arrays, lists or ranges) as CSV rows,
+    in the dict's order."""
+    cols = list(columns.values())
+    _write_rows(path, list(columns), (
+        [c[a:b].tolist() if isinstance(c, np.ndarray) else c[a:b]
+         for c in cols] for a, b in _chunks(len(cols[0]))))
+
+
+def _us_values(values: np.ndarray) -> list:
+    """Integral microsecond values as int, the others as float."""
+    out = values.astype(object)
+    integral = np.isfinite(values) & (values == np.trunc(values))
+    out[integral] = list(map(int, values[integral].tolist()))
+    return out.tolist()
+
+
+def _slot_columns(trace: SlotTrace):
+    starts = trace.wallclock_starts()
+    done = 0  # collisions written so far
+    for a, b in _chunks(len(trace)):
+        codes = trace.codes[a:b]
+        who = np.full(b - a, "", dtype=object)
+        success = codes == SUCCESS
+        who[success] = trace.owners[a:b][success].tolist()
+        collision = np.flatnonzero(codes == COLLISION)
+        who[collision] = [";".join(map(str, c)) for c in
+                          trace.colliders[done:done + collision.size]]
+        done += collision.size
+        yield (range(a, b), starts[a:b].tolist(),
+               _OUTCOME_NAMES[codes].tolist(), who.tolist(),
+               trace.durations[a:b].tolist())
 
 
 def write_slot_trace_csv(trace: SlotTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot_index", "wallclock_start_us", "outcome",
-                         "owner_or_colliders", "duration_us"])
-        for rec in trace.records():
-            if rec.outcome == "success":
-                who = str(rec.owner)
-            elif rec.outcome == "collision":
-                who = ";".join(str(s) for s in rec.colliders)
-            else:
-                who = ""
-            writer.writerow([rec.slot_index, rec.wallclock_start,
-                             rec.outcome, who, rec.duration])
-
-
-def read_slot_trace_csv(path: str | Path) -> SlotTrace:
-    codes: list[int] = []
-    owners: list[int] = []
-    durations: list[int] = []
-    colliders: list[tuple[int, ...]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:1] != ["slot_index"]:
-            raise TraceFormatError(f"{path}: not a slot trace CSV")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                outcome = row[2]
-                code = _OUTCOME_CODES[outcome]
-                duration = int(row[4])
-            except (IndexError, KeyError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-            codes.append(code)
-            durations.append(duration)
-            if code == SUCCESS:
-                owners.append(int(row[3]))
-            else:
-                owners.append(-1)
-                if code == COLLISION:
-                    colliders.append(tuple(int(s) for s in row[3].split(";")))
-    return SlotTrace.from_lists(codes, owners, durations, colliders)
+    _write_rows(path, ["slot_index", "wallclock_start_us", "outcome",
+                       "owner_or_colliders", "duration_us"],
+                _slot_columns(trace))
 
 
 def write_event_trace_csv(trace: EventTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station", "packet_id", "arrival_us", "departure_us"])
-        for i in range(len(trace)):
-            writer.writerow([
-                int(trace.station[i]),
-                int(trace.packet_id[i]),
-                _fmt_us(trace.arrival[i]),
-                _fmt_us(trace.departure[i]),
-            ])
-
-
-def read_event_trace_csv(path: str | Path) -> EventTrace:
-    station: list[int] = []
-    packet_id: list[int] = []
-    arrival: list[float] = []
-    departure: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:1] != ["station"]:
-            raise TraceFormatError(f"{path}: not an event trace CSV")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                station.append(int(row[0]))
-                packet_id.append(int(row[1]))
-                arrival.append(float(row[2]))
-                departure.append(float(row[3]))
-            except (IndexError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return EventTrace.from_lists(station, packet_id, arrival, departure)
+    _write_rows(path, ["station", "packet_id", "arrival_us", "departure_us"],
+                ((trace.station[a:b].tolist(), trace.packet_id[a:b].tolist(),
+                  _us_values(trace.arrival[a:b]),
+                  _us_values(trace.departure[a:b]))
+                 for a, b in _chunks(len(trace))))
 
 
 def write_ownership_csv(owners: Sequence[int] | np.ndarray,
                         path: str | Path) -> None:
     """Success-ownership sequence, one row per successful slot."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot_index", "owner_id"])
-        for i, owner in enumerate(owners):
-            writer.writerow([i, int(owner)])
+    owners = np.asarray(owners, dtype=np.int64)
+    write_csv(path, {"slot_index": range(owners.size), "owner_id": owners})
+
+
+def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
+    """Rows of a chunk of lines, or None if a line is not one row."""
+    try:
+        with warnings.catch_warnings():  # a blank chunk has no data
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(io.StringIO(prepare("".join(lines))),
+                              dtype=dtype, delimiter=",", comments=None,
+                              ndmin=1)
+    except ValueError:
+        return None
+    return rows if rows.size == len(lines) else None
+
+
+def _read_rows(path: str | Path, first: str, what: str, dtype,
+               prepare=lambda text: text) -> dict[str, np.ndarray]:
+    """The columns of a CSV whose header starts with first, parsed in
+    chunks, but for those named "_..." (checked only); prepare(text)
+    rewrites a chunk's text before it is parsed, or raises ValueError."""
+    dtype = np.dtype(dtype)
+    parts = []
+    with open(path, errors="replace") as fh:  # non-UTF-8 fails to parse
+        if fh.readline().rstrip("\n").split(",")[0] != first:
+            raise TraceFormatError(f"{path}: not {what}")
+        lineno = 2
+        while lines := list(islice(fh, _CHUNK_ROWS)):
+            parts.append(_parse(lines, dtype, prepare))
+            if parts[-1] is None:
+                i = next((i for i, line in enumerate(lines)
+                          if _parse([line], dtype, prepare) is None), 0)
+                raise TraceFormatError(f"{path}:{lineno + i}: bad row "
+                                       f"{lines[i].rstrip()!r}")
+            lineno += len(lines)
+    return {name: np.concatenate([p[name] for p in parts])
+            if parts else np.empty(0, dtype[name])
+            for name in dtype.names if not name.startswith("_")}
+
+
+def read_slot_trace_csv(path: str | Path) -> SlotTrace:
+    colliders: list[tuple[int, ...]] = []
+
+    def prepare(text: str) -> str:
+        # outcomes become codes and owner_or_colliders an integer, so the
+        # chunk parses as integers; each row must name one known outcome
+        found = _COLLISION_FIELDS.findall(text)
+        if (len(found) + text.count(",idle,,") + text.count(",success,")
+                != text.count("\n") + (not text.endswith("\n"))):
+            raise ValueError("unknown outcome")
+        colliders.extend(tuple(map(int, c.split(";"))) for c in found)
+        return (_COLLISION_FIELDS.sub(",2,-1,", text)
+                .replace(",idle,,", ",0,-1,").replace(",success,", ",1,"))
+
+    return SlotTrace(**_read_rows(
+        path, "slot_index", "a slot trace CSV",
+        [("_slot_index", "i8"), ("_start", "i8"), ("codes", "i1"),
+         ("owners", "i4"), ("durations", "i8")], prepare), colliders=colliders)
+
+
+def read_event_trace_csv(path: str | Path) -> EventTrace:
+    return EventTrace(**_read_rows(path, "station", "an event trace CSV",
+                                   [("station", "i4"), ("packet_id", "i8"),
+                                    ("arrival", "f8"), ("departure", "f8")]))
 
 
 def read_ownership_csv(path: str | Path) -> np.ndarray:
-    owners: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:1] != ["slot_index"]:
-            raise TraceFormatError(f"{path}: not an ownership CSV")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                owners.append(int(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{lineno}: bad row {row!r}") from exc
-    return np.asarray(owners, dtype=np.int32)
+    return _read_rows(path, "slot_index", "an ownership CSV",
+                      [("_slot_index", "i8"), ("owner_id", "i4")])["owner_id"]

@@ -222,7 +222,12 @@ BAD_INPUTS = {
     "fairness-string-tagged": ("fairness", {"fairness.tagged": "x"}),
     "fairness-float-tagged": ("fairness", {"fairness.tagged": 1.9}),
     "fairness-unknown-field": ("fairness", {"fairness.bogus": 1}),
+    # a pmf of a station against itself
+    "fairness-tagged-is-contender": ("fairness", {"fairness.contender": 0}),
     "service-curve-eps-2": ("servicecurve", {"service_curve.eps": 2}),
+    # subnormal: ln(1/eps) is inf and service_bounds.json not strict JSON
+    "service-curve-subnormal-eps": ("servicecurve",
+                                    {"service_curve.eps": 1e-320}),
     "service-curve-zero-horizon": ("servicecurve",
                                    {"service_curve.horizon_j": 0}),
     "service-curve-list-arrival": ("servicecurve",
@@ -308,6 +313,24 @@ def test_exit_code_contract_under_fuzz(changes):
         for command in ("simulate", "model", "fairness", "servicecurve"):
             assert main([command, "--config", str(path),
                          "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+
+
+def test_clock_on_corrupt_trace_exit_2(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    trace = out / "slot_trace.csv"
+    lines = trace.read_text().splitlines()
+    lines[9000] = lines[9000].replace(",", ";", 1)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["clock", "--config", str(config_path), "--out", str(out),
+                 "--slot-trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {trace}:9001: bad row")
 
 
 def test_env_override(config_path, tmp_path, monkeypatch):

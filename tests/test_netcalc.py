@@ -120,6 +120,14 @@ class TestServiceCurve:
         assert np.all(np.diff(rates) <= 1e-9 * rates[:-1])
         assert np.all(rates <= 1e6 / mean + 1e-6)
 
+    def test_subnormal_eps_rejected(self):
+        # 1/eps overflows to inf, which would make the latency infinite
+        with pytest.raises(ValueError):
+            service_curve(DET, 1e-2, eps=1e-320)
+        with pytest.raises(ValueError):
+            t_epsilon_us(DET, 1e-2, 1e-320, 10)
+        assert math.isfinite(service_curve(DET, 1e-2, eps=1e-300).latency)
+
 
 class TestOptimizeTheta:
     def test_deterministic_runs_to_cap(self):

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from dcffair import (
     EventTrace,
+    MacParams,
     SimConfig,
     SlotTrace,
     TraceFormatError,
@@ -14,6 +17,7 @@ from dcffair import (
     write_ownership_csv,
     write_slot_trace_csv,
 )
+from dcffair import traceio
 
 
 def test_slot_trace_roundtrip(tmp_path):
@@ -30,6 +34,22 @@ def test_slot_trace_roundtrip(tmp_path):
     assert np.array_equal(back.owners, trace.owners)
     assert np.array_equal(back.durations, trace.durations)
     assert back.colliders == [(1, 3)]
+
+
+def test_from_transmissions_fills_idle_slots():
+    trace = SlotTrace.from_transmissions(
+        7, 20, successes=[1, 4], owners=[2, 0], success_us=[500, 510],
+        collisions=[2, 6], collision_us=[480, 490],
+        colliders=[(0, 1), (1, 2, 3)])
+    want = SlotTrace.from_lists(
+        codes=[0, 1, 2, 0, 1, 0, 2], owners=[-1, 2, -1, -1, 0, -1, -1],
+        durations=[20, 500, 480, 20, 510, 20, 490],
+        colliders=[(0, 1), (1, 2, 3)])
+    for name in ("codes", "owners", "durations"):
+        got = getattr(trace, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert np.array_equal(got, getattr(want, name))
+    assert trace.colliders == want.colliders
 
 
 def test_slot_trace_wallclock_prefix_sum(tmp_path):
@@ -81,3 +101,279 @@ def test_bad_row_reports_line(tmp_path):
     with pytest.raises(TraceFormatError) as err:
         read_event_trace_csv(path)
     assert ":2:" in str(err.value)
+
+
+# --- reference: the per-row csv.writer writers the chunked writers replace,
+# kept verbatim (records() inlined) so the file bytes can be compared ---
+
+def _ref_fmt_us(value: float) -> str:
+    # integral microsecond values print as integers
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def _ref_records(trace):
+    starts = trace.wallclock_starts()
+    coll_iter = iter(trace.colliders)
+    for i in range(len(trace)):
+        code = int(trace.codes[i])
+        yield dict(
+            slot_index=i,
+            wallclock_start=int(starts[i]),
+            outcome=("idle", "success", "collision")[code],
+            owner=int(trace.owners[i]) if code == 1 else None,
+            colliders=next(coll_iter) if code == 2 else (),
+            duration=int(trace.durations[i]),
+        )
+
+
+def _ref_write_slot_trace_csv(trace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot_index", "wallclock_start_us", "outcome",
+                         "owner_or_colliders", "duration_us"])
+        for rec in _ref_records(trace):
+            if rec["outcome"] == "success":
+                who = str(rec["owner"])
+            elif rec["outcome"] == "collision":
+                who = ";".join(str(s) for s in rec["colliders"])
+            else:
+                who = ""
+            writer.writerow([rec["slot_index"], rec["wallclock_start"],
+                             rec["outcome"], who, rec["duration"]])
+
+
+def _ref_write_event_trace_csv(trace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["station", "packet_id", "arrival_us", "departure_us"])
+        for i in range(len(trace)):
+            writer.writerow([
+                int(trace.station[i]),
+                int(trace.packet_id[i]),
+                _ref_fmt_us(trace.arrival[i]),
+                _ref_fmt_us(trace.departure[i]),
+            ])
+
+
+def _ref_write_ownership_csv(owners, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot_index", "owner_id"])
+        for i, owner in enumerate(owners):
+            writer.writerow([i, int(owner)])
+
+
+HETERO = (MacParams(cw_min=8, cw_max=64), MacParams(cw_min=32, payload_dur=700),
+          MacParams(cw_min=16, retry_limit=3), MacParams(cw_min=4, cw_max=16))
+GOLDEN_RUNS = {
+    "saturated-seed-1": SimConfig(n=5, horizon_slots=20_000, seed=1),
+    "saturated-seed-2": SimConfig(n=5, horizon_slots=20_000, seed=2),
+    "saturated-seed-3": SimConfig(n=2, horizon_slots=5_000, seed=3),
+    "poisson-seed-4": SimConfig(n=4, mode="poisson",
+                                arrival_rate_pps=(20.0, 55.5, 0.0, 90.0),
+                                horizon_us=30_000_000, seed=4),
+    "poisson-seed-5": SimConfig(n=3, mode="poisson", arrival_rate_pps=300.0,
+                                horizon_us=20_000_000, seed=5),
+    "heterogeneous": SimConfig(n=4, params=HETERO, horizon_slots=30_000,
+                               seed=6),
+    # small windows: collisions of three and more stations, retry drops
+    "crowded-retry-drops": SimConfig(
+        n=12, params=MacParams(cw_min=4, cw_max=16, max_backoff_stage=2,
+                               retry_limit=2),
+        horizon_slots=3 * traceio._CHUNK_ROWS, seed=7),
+}
+
+
+def _assert_files_identical(write, ref_write, data, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write(data, new)
+    ref_write(data, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    return new
+
+
+def _assert_same_slots(back, trace):
+    assert back.codes.dtype == trace.codes.dtype
+    assert np.array_equal(back.codes, trace.codes)
+    assert np.array_equal(back.owners, trace.owners)
+    assert np.array_equal(back.durations, trace.durations)
+    assert back.colliders == trace.colliders
+
+
+def _assert_same_events(back, trace):
+    for name in ("station", "packet_id", "arrival", "departure"):
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("cfg", GOLDEN_RUNS.values(), ids=GOLDEN_RUNS.keys())
+def test_writers_byte_identical_to_csv_writer(cfg, tmp_path):
+    res = run(cfg)
+    path = _assert_files_identical(write_slot_trace_csv,
+                                   _ref_write_slot_trace_csv, res.slots,
+                                   tmp_path)
+    _assert_same_slots(read_slot_trace_csv(path), res.slots)
+    path = _assert_files_identical(write_event_trace_csv,
+                                   _ref_write_event_trace_csv, res.events,
+                                   tmp_path)
+    _assert_same_events(read_event_trace_csv(path), res.events)
+    path = _assert_files_identical(write_ownership_csv,
+                                   _ref_write_ownership_csv,
+                                   res.success_owners, tmp_path)
+    assert np.array_equal(read_ownership_csv(path), res.success_owners)
+
+
+def test_golden_runs_cover_the_cases():
+    results = {name: run(cfg) for name, cfg in GOLDEN_RUNS.items()}
+    crowded = results["crowded-retry-drops"]
+    assert max(map(len, crowded.slots.colliders)) >= 3
+    assert crowded.counters.drops.sum() > 0
+    assert len(crowded.slots) > 2 * traceio._CHUNK_ROWS
+    assert results["heterogeneous"].counters.drops.sum() > 0
+    for name in ("poisson-seed-4", "poisson-seed-5"):
+        arrival = results[name].events.arrival
+        assert np.any(arrival != np.trunc(arrival))
+
+
+def test_event_values_beyond_one_chunk(tmp_path, rng):
+    size = 2 * traceio._CHUNK_ROWS + 17
+    arrival = rng.uniform(0, 1e7, size)
+    arrival[::3] = np.floor(arrival[::3])
+    arrival[1::3] = np.round(arrival[1::3], 2)
+    arrival[:6] = [0.0, -0.0, 1e300, 2.0 ** 60, 1e-7, np.inf]
+    trace = EventTrace.from_lists(rng.integers(0, 50, size),
+                                  np.arange(size), arrival,
+                                  arrival + rng.integers(1, 10**6, size))
+    path = _assert_files_identical(write_event_trace_csv,
+                                   _ref_write_event_trace_csv, trace,
+                                   tmp_path)
+    _assert_same_events(read_event_trace_csv(path), trace)
+
+
+def test_header_only_files(tmp_path):
+    slots = SlotTrace.from_lists([], [], [])
+    events = EventTrace.from_lists([], [], [], [])
+    owners = np.array([], dtype=np.int32)
+    path = _assert_files_identical(write_slot_trace_csv,
+                                   _ref_write_slot_trace_csv, slots, tmp_path)
+    _assert_same_slots(read_slot_trace_csv(path), slots)
+    path = _assert_files_identical(write_event_trace_csv,
+                                   _ref_write_event_trace_csv, events,
+                                   tmp_path)
+    _assert_same_events(read_event_trace_csv(path), events)
+    path = _assert_files_identical(write_ownership_csv,
+                                   _ref_write_ownership_csv, owners, tmp_path)
+    assert read_ownership_csv(path).dtype == np.int32
+    assert read_ownership_csv(path).size == 0
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    columns = {"j": range(1, 4), "count": np.array([3, 0, -2]),
+               "value": [0.1, 1.0, 2.5e-12], "x": np.array([1e16, 1.5, 0.0])}
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    traceio.write_csv(path, columns)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows([j, int(c), v, float(x)] for j, c, v, x
+                         in zip(*columns.values()))
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# --- reader error contract ---
+
+def _long_slot_file(tmp_path):
+    res = run(SimConfig(n=3, horizon_slots=traceio._CHUNK_ROWS + 500,
+                        seed=9))
+    path = tmp_path / "slots.csv"
+    write_slot_trace_csv(res.slots, path)
+    return res.slots, path
+
+
+def test_bad_row_in_second_chunk_reports_its_line(tmp_path):
+    _, path = _long_slot_file(tmp_path)
+    lines = path.read_bytes().split(b"\r\n")
+    bad = traceio._CHUNK_ROWS + 123  # 0-based, so file line bad + 1
+    lines[bad] = lines[bad].replace(b"idle", b"idel")
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(TraceFormatError) as err:
+        read_slot_trace_csv(path)
+    assert f"{path}:{bad + 1}: bad row" in str(err.value)
+
+
+SLOT_HEADER = "slot_index,wallclock_start_us,outcome,owner_or_colliders," \
+    "duration_us"
+EVENT_HEADER = "station,packet_id,arrival_us,departure_us"
+OWNER_HEADER = "slot_index,owner_id"
+BAD_ROWS = {
+    "slot-short": (read_slot_trace_csv, SLOT_HEADER, "1,20,idle,"),
+    "slot-extra": (read_slot_trace_csv, SLOT_HEADER, "1,20,idle,,20,7"),
+    "slot-unknown-outcome": (read_slot_trace_csv, SLOT_HEADER,
+                             "1,20,busy,,20"),
+    "slot-numeric-outcome": (read_slot_trace_csv, SLOT_HEADER,
+                             "1,20,1,2,500"),
+    "slot-float-owner": (read_slot_trace_csv, SLOT_HEADER,
+                         "1,20,success,1.5,500"),
+    "slot-empty-owner": (read_slot_trace_csv, SLOT_HEADER,
+                         "1,20,success,,500"),
+    "slot-idle-with-owner": (read_slot_trace_csv, SLOT_HEADER,
+                             "1,20,idle,2,20"),
+    "slot-bad-collider": (read_slot_trace_csv, SLOT_HEADER,
+                          "1,20,collision,0;x,480"),
+    "slot-float-duration": (read_slot_trace_csv, SLOT_HEADER,
+                            "1,20,idle,,20.5"),
+    "slot-blank": (read_slot_trace_csv, SLOT_HEADER, ""),
+    "event-short": (read_event_trace_csv, EVENT_HEADER, "0,1,2.5"),
+    "event-extra": (read_event_trace_csv, EVENT_HEADER, "0,1,2.5,3,4"),
+    "event-float-station": (read_event_trace_csv, EVENT_HEADER,
+                            "0.5,1,2.5,3"),
+    "event-text-time": (read_event_trace_csv, EVENT_HEADER, "0,1,abc,3"),
+    "event-blank": (read_event_trace_csv, EVENT_HEADER, ""),
+    "owner-short": (read_ownership_csv, OWNER_HEADER, "1"),
+    "owner-extra": (read_ownership_csv, OWNER_HEADER, "1,2,3"),
+    "owner-float": (read_ownership_csv, OWNER_HEADER, "1,2.5"),
+    "owner-text": (read_ownership_csv, OWNER_HEADER, "1,x"),
+    "owner-blank": (read_ownership_csv, OWNER_HEADER, " "),
+}
+GOOD_ROWS = {SLOT_HEADER: "0,0,success,2,500", EVENT_HEADER: "0,0,0,500",
+             OWNER_HEADER: "0,2"}
+
+
+@pytest.mark.parametrize("reader, header, row", BAD_ROWS.values(),
+                         ids=BAD_ROWS.keys())
+def test_bad_rows_rejected_with_line(reader, header, row, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\r\n".join([header, GOOD_ROWS[header], row,
+                                 GOOD_ROWS[header]]) + "\r\n")
+    with pytest.raises(TraceFormatError) as err:
+        reader(path)
+    assert f"{path}:3: bad row" in str(err.value)
+
+
+def test_non_utf8_byte_is_a_bad_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"slot_index,owner_id\r\n0,2\r\n1,\xff\r\n")
+    with pytest.raises(TraceFormatError) as err:
+        read_ownership_csv(path)
+    assert f"{path}:3: bad row" in str(err.value)
+
+
+def test_lf_files_read_as_crlf(tmp_path):
+    slots, crlf = _long_slot_file(tmp_path)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    _assert_same_slots(read_slot_trace_csv(lf), slots)
+    res = run(SimConfig(n=3, mode="poisson", arrival_rate_pps=40.0,
+                        horizon_us=10_000_000, seed=2))
+    for write, read, data in (
+            (write_event_trace_csv, read_event_trace_csv, res.events),
+            (write_ownership_csv, read_ownership_csv, res.success_owners)):
+        write(data, crlf)
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        back_crlf, back_lf = read(crlf), read(lf)
+        if isinstance(data, EventTrace):
+            _assert_same_events(back_lf, back_crlf)
+        else:
+            assert np.array_equal(back_lf, back_crlf)
