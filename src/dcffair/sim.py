@@ -19,19 +19,27 @@ deliberately not modeled.
 The inner loop advances event-to-event rather than slot-to-slot: a counter
 drawn as b at slot s arms its station for slot s + b (s + 1 + b after a
 transmission), so maximal runs of idle slots are applied in one jump. This
-is exactly equivalent to the per-slot loop above.
+is exactly equivalent to the per-slot loop above. The loop is flat: each
+station's state is an entry of per-station Python lists, its windows are a
+table precomputed per stage, and its stage stops at max_backoff_stage,
+beyond which the window no longer changes.
 
 Randomness comes from counter-based Philox streams seeded per
 (replication, station) via SeedSequence spawn keys, which makes every run
-reproducible and replications independent.
+reproducible and replications independent. Each station draws its
+uniforms (and, in poisson mode, its inter-arrival gaps) in chunks that
+start small and grow to a cap, held as Python lists; a counter-based
+stream yields the same values however its draws are chunked.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -40,7 +48,11 @@ from .errors import ConfigError, is_finite, is_int
 from .mac import MacParams
 from .traceio import EventTrace, SlotTrace
 
-_BACKOFF_BUFFER = 4096
+# backoff and inter-arrival draws are buffered per station in chunks that
+# start small, so a short run draws little, and grow to a cap that bounds
+# their memory
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -157,35 +169,37 @@ class SimResult:
         return self.counters.collisions_involved / attempts
 
 
-class _Station:
-    __slots__ = ("params", "rng", "buffer", "buf_pos", "stage", "attempts_cur",
-                 "backlogged", "head_arrival", "packet_seq", "queue",
-                 "next_arrival", "arrival_rng", "rate_pps")
+def _refill(buffer: list, draw: Callable[[int], np.ndarray],
+            size: int) -> int:
+    """Refill an empty buffer with draw(size), reversed so that pop()
+    returns the draws in stream order; returns the next chunk size."""
+    buffer += draw(size)[::-1].tolist()
+    return min(2 * size, _MAX_CHUNK)
 
-    def __init__(self, params: MacParams, rng: np.random.Generator):
-        self.params = params
-        self.rng = rng
-        self.buffer = rng.random(_BACKOFF_BUFFER)
-        self.buf_pos = 0
-        self.stage = 0
-        self.attempts_cur = 0
-        self.backlogged = False
-        self.head_arrival = 0.0
-        self.packet_seq = 0
-        self.queue: deque[float] = deque()
-        self.next_arrival = math.inf
-        self.arrival_rng: np.random.Generator | None = None
-        self.rate_pps = 0.0
 
-    def draw_backoff(self) -> int:
-        # uniform over {0 .. window-1}; buffered doubles keep RNG call
-        # overhead out of the hot loop
-        if self.buf_pos == _BACKOFF_BUFFER:
-            self.buffer = self.rng.random(_BACKOFF_BUFFER)
-            self.buf_pos = 0
-        u = self.buffer[self.buf_pos]
-        self.buf_pos += 1
-        return int(u * self.params.window(self.stage))
+def _early_stops(n: int, stop_after_tagged, stop_after_successes
+                 ) -> tuple[int, int, int]:
+    """(tagged station, its goal, total goal); -1 where no stop is set,
+    which no station index or success count ever equals."""
+    tagged = goal = total = -1
+    if stop_after_tagged is not None:
+        try:
+            tagged, goal = stop_after_tagged
+        except (TypeError, ValueError):
+            raise ConfigError("stop_after_tagged must be a (station, count) "
+                              f"pair, got {stop_after_tagged!r}") from None
+        if not is_int(tagged) or not 0 <= tagged < n:
+            raise ConfigError(f"stop_after_tagged station must be an integer "
+                              f"in 0..{n - 1}, got {tagged!r}")
+        if not is_int(goal) or goal < 1:
+            raise ConfigError("stop_after_tagged count must be an integer "
+                              f">= 1, got {goal!r}")
+    if stop_after_successes is not None:
+        total = stop_after_successes
+        if not is_int(total) or total < 1:
+            raise ConfigError("stop_after_successes must be an integer >= 1, "
+                              f"got {total!r}")
+    return int(tagged), int(goal), int(total)
 
 
 def run(config: SimConfig, *, replication: int = 0,
@@ -200,212 +214,197 @@ def run(config: SimConfig, *, replication: int = 0,
     """
     config.validate()
     n = config.n
+    tagged, tagged_goal, total_goal = _early_stops(
+        n, stop_after_tagged, stop_after_successes)
     params = config.station_params()
     sigma = params[0].slot_sigma
     poisson = config.mode == "poisson"
+    windows = [[p.window(s) for s in range(p.max_backoff_stage + 1)]
+               for p in params]
+    top_stage = [p.max_backoff_stage for p in params]
+    d_succ = [p.d_succ for p in params]
+    d_coll = [p.d_coll for p in params]
+    retry = [p.retry_limit or -1 for p in params]  # -1: never reached
 
-    stations = []
-    for i in range(n):
+    def stream(*key: int) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=config.seed,
-                                     spawn_key=(replication, i))
-        st = _Station(params[i], np.random.Generator(np.random.Philox(seq)))
-        stations.append(st)
-    if poisson:
-        rates = config.arrival_rates()
-        for i, st in enumerate(stations):
-            arr_seq = np.random.SeedSequence(entropy=config.seed,
-                                             spawn_key=(replication, i, 1))
-            st.arrival_rng = np.random.Generator(np.random.Philox(arr_seq))
-            st.rate_pps = rates[i]
-            st.next_arrival = (
-                st.arrival_rng.exponential(1e6 / rates[i])
-                if rates[i] > 0 else math.inf
-            )
+                                     spawn_key=(replication, *key))
+        return np.random.Generator(np.random.Philox(seq))
 
-    arrivals_ct = [0] * n
+    draw_u = [stream(i).random for i in range(n)]
+    uniforms: list[list[float]] = [[] for _ in range(n)]
+    u_chunk = [_FIRST_CHUNK] * n
+    stage = [0] * n
+    tries = [0] * n  # collisions of the head-of-line packet
     successes = [0] * n
     drops = [0] * n
-    attempts = [0] * n
-    collisions_involved = [0] * n
+    collisions = [0] * n
+    # arrival times of the head-of-line packet and those queued behind it
+    queues: list[deque[float]] = [deque() for _ in range(n)]
+    heap: list[int] = []  # slot * n + station, for each armed station
 
-    slot_idx = 0
-    wall = 0
-    idle_slots = 0
-    success_slots = 0
-    collision_slots = 0
-
+    slot_idx = wall = success_slots = collision_slots = 0
+    max_slots = int(config.horizon_slots or sys.maxsize)
+    max_us = int(config.horizon_us or sys.maxsize)
     record_slots = config.record_slot_trace
     record_events = config.record_event_trace
     # transmission slots only; the idle slots are filled in at the end
-    success_slots_rec: list[int] = []
-    collision_slots_rec: list[int] = []
+    success_at: list[int] = []
+    collision_at: list[int] = []
     collision_us: list[int] = []
-    colliders_rec: list[tuple[int, ...]] = []
+    colliders: list[tuple[int, ...]] = []
     ev_packet: list[int] = []
     ev_arrival: list[float] = []
-    ev_departure: list[float] = []
-    success_owners: list[int] = []
+    ev_departure: list[int] = []
+    owners: list[int] = []
 
-    heap: list[tuple[int, int]] = []  # (arming slot index, station)
-
-    def enqueue_head(i: int, arrival_time: float) -> None:
-        st = stations[i]
-        st.backlogged = True
-        st.head_arrival = arrival_time
-        st.attempts_cur = 0
-        heapq.heappush(heap, (slot_idx + st.draw_backoff(), i))
-
+    next_arrival = math.inf  # earliest arrival not yet in a queue
     if poisson:
-        def pump_arrivals() -> float:
-            # move every arrival with timestamp <= current slot start into
-            # its queue; return earliest pending arrival time
-            earliest = math.inf
-            for i in range(n):
-                st = stations[i]
-                while st.next_arrival <= wall:
-                    t_a = st.next_arrival
-                    arrivals_ct[i] += 1
-                    st.next_arrival = t_a + st.arrival_rng.exponential(
-                        1e6 / st.rate_pps)
-                    if st.backlogged:
-                        st.queue.append(t_a)
-                    else:
-                        st.stage = 0
-                        enqueue_head(i, t_a)
-                if st.next_arrival < earliest:
-                    earliest = st.next_arrival
-            return earliest
+        draw_gap = [partial(stream(i, 1).exponential, 1e6 / rate) if rate > 0
+                    else None for i, rate in enumerate(config.arrival_rates())]
+        gaps: list[list[float]] = [[] for _ in range(n)]
+        gap_chunk = [_FIRST_CHUNK] * n
+        arrival_at = [math.inf] * n
+        for i in range(n):
+            if draw_gap[i] is not None:
+                gap_chunk[i] = _refill(gaps[i], draw_gap[i], gap_chunk[i])
+                arrival_at[i] = gaps[i].pop()
+        next_arrival = min(arrival_at)
     else:
         for i in range(n):
-            arrivals_ct[i] = 1
-            enqueue_head(i, 0.0)
+            queues[i].append(0.0)
+            u_chunk[i] = _refill(uniforms[i], draw_u[i], u_chunk[i])
+            heappush(heap, int(uniforms[i].pop() * windows[i][0]) * n + i)
 
-    horizon_slots = config.horizon_slots
-    horizon_us = config.horizon_us
-    tagged_station = tagged_goal = None
-    if stop_after_tagged is not None:
-        tagged_station, tagged_goal = stop_after_tagged
-    total_successes = 0
+    while slot_idx < max_slots and wall < max_us:
+        if wall >= next_arrival:
+            # arrivals up to the slot start join their queues; one that
+            # finds its station idle becomes head of line and draws
+            for i in range(n):
+                t = arrival_at[i]
+                q = queues[i]
+                while t <= wall:
+                    if not q:
+                        u = uniforms[i]
+                        if not u:
+                            u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
+                        heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
+                                 * n + i)
+                    q.append(t)
+                    g = gaps[i]
+                    if not g:
+                        gap_chunk[i] = _refill(g, draw_gap[i], gap_chunk[i])
+                    t += g.pop()
+                arrival_at[i] = t
+            next_arrival = min(arrival_at)
 
-    while True:
-        if horizon_slots is not None and slot_idx >= horizon_slots:
-            break
-        if horizon_us is not None and wall >= horizon_us:
-            break
-        next_pending = pump_arrivals() if poisson else math.inf
-
-        if heap and heap[0][0] <= slot_idx:
-            # transmission slot
-            armed = [heapq.heappop(heap)[1]]
-            while heap and heap[0][0] <= slot_idx:
-                armed.append(heapq.heappop(heap)[1])
-            if len(armed) == 1:
-                i = armed[0]
-                st = stations[i]
-                dur = st.params.d_succ
+        limit = (slot_idx + 1) * n  # keys below it are armed for this slot
+        if heap and heap[0] < limit:
+            i = heappop(heap) - limit + n
+            if not heap or heap[0] >= limit:
+                # success: the head-of-line packet departs
                 if record_slots:
-                    success_slots_rec.append(slot_idx)
-                wall += dur
+                    success_at.append(slot_idx)
                 slot_idx += 1
+                wall += d_succ[i]
                 success_slots += 1
-                successes[i] += 1
-                attempts[i] += 1
-                total_successes += 1
-                success_owners.append(i)
+                owners.append(i)
+                q = queues[i]
                 if record_events:
-                    ev_packet.append(st.packet_seq)
-                    ev_arrival.append(st.head_arrival)
-                    ev_departure.append(float(wall))
-                st.packet_seq += 1
-                st.stage = 0
-                if poisson:
-                    if st.queue:
-                        enqueue_head(i, st.queue.popleft())
-                    else:
-                        st.backlogged = False
-                else:
-                    arrivals_ct[i] += 1
-                    enqueue_head(i, float(wall))
-                if i == tagged_station and successes[i] >= tagged_goal:
-                    break
-                if (stop_after_successes is not None
-                        and total_successes >= stop_after_successes):
+                    ev_packet.append(successes[i] + drops[i])
+                    ev_arrival.append(q[0])
+                    ev_departure.append(wall)
+                successes[i] += 1
+                q.popleft()
+                if not poisson:
+                    q.append(wall)
+                stage[i] = tries[i] = 0
+                if q:
+                    u = uniforms[i]
+                    if not u:
+                        u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
+                    heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
+                             * n + i)
+                if (i == tagged and successes[i] == tagged_goal
+                        or success_slots == total_goal):
                     break
             else:
-                dur = max(stations[i].params.d_coll for i in armed)
+                armed = [i]
+                while heap and heap[0] < limit:
+                    armed.append(heappop(heap) - limit + n)
+                dur = max([d_coll[i] for i in armed])
                 if record_slots:
-                    collision_slots_rec.append(slot_idx)
+                    collision_at.append(slot_idx)
                     collision_us.append(dur)
-                    colliders_rec.append(tuple(sorted(armed)))
-                wall += dur
+                    colliders.append(tuple(armed))  # ascending, as keys are
                 slot_idx += 1
+                wall += dur
                 collision_slots += 1
                 for i in armed:
-                    st = stations[i]
-                    attempts[i] += 1
-                    collisions_involved[i] += 1
-                    st.attempts_cur += 1
-                    rl = st.params.retry_limit
-                    if rl > 0 and st.attempts_cur >= rl:
+                    collisions[i] += 1
+                    tries[i] += 1
+                    q = queues[i]
+                    if tries[i] == retry[i]:
                         drops[i] += 1
-                        st.packet_seq += 1
-                        st.stage = 0
-                        if poisson:
-                            if st.queue:
-                                enqueue_head(i, st.queue.popleft())
-                            else:
-                                st.backlogged = False
-                        else:
-                            arrivals_ct[i] += 1
-                            enqueue_head(i, float(wall))
-                    else:
-                        st.stage += 1
-                        heapq.heappush(heap,
-                                       (slot_idx + st.draw_backoff(), i))
+                        q.popleft()
+                        if not poisson:
+                            q.append(wall)
+                        stage[i] = tries[i] = 0
+                        if not q:
+                            continue
+                    elif stage[i] < top_stage[i]:
+                        stage[i] += 1
+                    u = uniforms[i]
+                    if not u:
+                        u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
+                    heappush(heap, (slot_idx
+                                    + int(u.pop() * windows[i][stage[i]]))
+                             * n + i)
         else:
             # idle run up to the next armed station, arrival, or horizon
-            if not heap and next_pending is math.inf:
+            target = heap[0] // n if heap else max_slots
+            if next_arrival != math.inf:  # it is after wall, so >= 1 slot on
+                target = min(target, slot_idx
+                             + math.ceil((next_arrival - wall) / sigma))
+            elif not heap:
                 break  # nothing backlogged, nothing arriving
-            jump = heap[0][0] - slot_idx if heap else math.inf
-            if next_pending is not math.inf:
-                until_arrival = int(math.ceil((next_pending - wall) / sigma))
-                jump = min(jump, max(until_arrival, 1))
-            if horizon_slots is not None:
-                jump = min(jump, horizon_slots - slot_idx)
-            if horizon_us is not None:
-                jump = min(jump, int(math.ceil((horizon_us - wall) / sigma)))
-            slot_idx += jump
-            wall += jump * sigma
-            idle_slots += jump
+            if target > max_slots:
+                target = max_slots
+            if wall + (target - slot_idx) * sigma > max_us:
+                target = slot_idx - (wall - max_us) // sigma
+            wall += (target - slot_idx) * sigma
+            slot_idx = target
 
+    successes_a = np.array(successes, dtype=np.int64)
+    drops_a = np.array(drops, dtype=np.int64)
+    collisions_a = np.array(collisions, dtype=np.int64)
+    # queued packets plus the head-of-line one (always one if saturated)
+    queue_final = np.array([len(q) for q in queues], dtype=np.int64)
     counters = SimCounters(
-        arrivals=np.array(arrivals_ct, dtype=np.int64),
-        successes=np.array(successes, dtype=np.int64),
-        drops=np.array(drops, dtype=np.int64),
-        attempts=np.array(attempts, dtype=np.int64),
-        collisions_involved=np.array(collisions_involved, dtype=np.int64),
-        # queued packets plus the head-of-line one (always one if saturated)
-        queue_final=np.array([len(st.queue) + st.backlogged
-                              for st in stations], dtype=np.int64),
+        arrivals=successes_a + drops_a + queue_final,
+        successes=successes_a,
+        drops=drops_a,
+        attempts=successes_a + collisions_a,
+        collisions_involved=collisions_a,
+        queue_final=queue_final,
         n_slots=slot_idx,
-        idle_slots=idle_slots,
+        idle_slots=slot_idx - success_slots - collision_slots,
         success_slots=success_slots,
         collision_slots=collision_slots,
         wallclock_us=wall,
     )
-    d_succ = np.array([p.d_succ for p in params], dtype=np.int64)
     slots = (SlotTrace.from_transmissions(
-        slot_idx, sigma, success_slots_rec, success_owners,
-        d_succ[success_owners], collision_slots_rec, collision_us,
-        colliders_rec) if record_slots else None)
+        slot_idx, sigma, success_at, owners,
+        np.array(d_succ, dtype=np.int64)[owners], collision_at, collision_us,
+        colliders) if record_slots else None)
     # every success is a departure, so the event stations are the owners
-    events = (EventTrace.from_lists(success_owners, ev_packet, ev_arrival,
+    events = (EventTrace.from_lists(owners, ev_packet, ev_arrival,
                                     ev_departure)
               if record_events else None)
     return SimResult(
         config=config,
         counters=counters,
-        success_owners=np.array(success_owners, dtype=np.int32),
+        success_owners=np.array(owners, dtype=np.int32),
         slots=slots,
         events=events,
     )

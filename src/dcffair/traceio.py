@@ -6,7 +6,9 @@ Ownership CSV:    slot_index,owner_id
 
 Collision members are ';'-joined in owner_or_colliders. Rows end in CRLF,
 as with the csv module; the readers accept CRLF and LF alike. Integral
-event timestamps print as integers, the others as the float's repr.
+event timestamps print as integers, the others as the float's repr. The
+readers require slot_index to count 0, 1, ... and a slot's
+wallclock_start_us to be the sum of the durations before it.
 
 Files stream in chunks of _CHUNK_ROWS rows, so memory stays flat however
 long the trace: a chunk's columns become Python scalars with one tolist()
@@ -194,8 +196,8 @@ def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
 def _read_rows(path: str | Path, first: str, what: str, dtype,
                prepare=lambda text: text) -> dict[str, np.ndarray]:
     """The columns of a CSV whose header starts with first, parsed in
-    chunks, but for those named "_..." (checked only); prepare(text)
-    rewrites a chunk's text before it is parsed, or raises ValueError."""
+    chunks; prepare(text) rewrites a chunk's text before it is parsed, or
+    raises ValueError."""
     dtype = np.dtype(dtype)
     parts = []
     with open(path, errors="replace") as fh:  # non-UTF-8 fails to parse
@@ -212,7 +214,18 @@ def _read_rows(path: str | Path, first: str, what: str, dtype,
             lineno += len(lines)
     return {name: np.concatenate([p[name] for p in parts])
             if parts else np.empty(0, dtype[name])
-            for name in dtype.names if not name.startswith("_")}
+            for name in dtype.names}
+
+
+def _check_column(path: str | Path, name: str, got: np.ndarray,
+                  want: np.ndarray) -> None:
+    """Raise naming the line of the first row whose name column is not
+    the value the rows before it imply."""
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        k = int(bad[0])
+        raise TraceFormatError(f"{path}:{k + 2}: {name} {got[k]}, "
+                               f"expected {want[k]}")
 
 
 def read_slot_trace_csv(path: str | Path) -> SlotTrace:
@@ -229,10 +242,17 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
         return (_COLLISION_FIELDS.sub(",2,-1,", text)
                 .replace(",idle,,", ",0,-1,").replace(",success,", ",1,"))
 
-    return SlotTrace(**_read_rows(
+    columns = _read_rows(
         path, "slot_index", "a slot trace CSV",
-        [("_slot_index", "i8"), ("_start", "i8"), ("codes", "i1"),
-         ("owners", "i4"), ("durations", "i8")], prepare), colliders=colliders)
+        [("slot_index", "i8"), ("wallclock_start_us", "i8"), ("codes", "i1"),
+         ("owners", "i4"), ("durations", "i8")], prepare)
+    trace = SlotTrace(codes=columns["codes"], owners=columns["owners"],
+                      durations=columns["durations"], colliders=colliders)
+    _check_column(path, "slot_index", columns["slot_index"],
+                  np.arange(len(trace)))
+    _check_column(path, "wallclock_start_us", columns["wallclock_start_us"],
+                  trace.wallclock_starts())
+    return trace
 
 
 def read_event_trace_csv(path: str | Path) -> EventTrace:
@@ -242,5 +262,8 @@ def read_event_trace_csv(path: str | Path) -> EventTrace:
 
 
 def read_ownership_csv(path: str | Path) -> np.ndarray:
-    return _read_rows(path, "slot_index", "an ownership CSV",
-                      [("_slot_index", "i8"), ("owner_id", "i4")])["owner_id"]
+    columns = _read_rows(path, "slot_index", "an ownership CSV",
+                         [("slot_index", "i8"), ("owner_id", "i4")])
+    _check_column(path, "slot_index", columns["slot_index"],
+                  np.arange(columns["slot_index"].size))
+    return columns["owner_id"]

@@ -39,6 +39,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(n=2, mode="poisson", horizon_slots=10).validate()
 
+    @pytest.mark.parametrize("stops", [
+        {"stop_after_tagged": (5, 10)},
+        {"stop_after_tagged": (-1, 10)},
+        {"stop_after_tagged": (1.0, 10)},
+        {"stop_after_tagged": (True, 10)},
+        {"stop_after_tagged": (0, 0)},
+        {"stop_after_tagged": (0, 2.5)},
+        {"stop_after_tagged": (0,)},
+        {"stop_after_tagged": 3},
+        {"stop_after_successes": 0},
+        {"stop_after_successes": -4},
+        {"stop_after_successes": 2.5},
+    ], ids=repr)
+    def test_rejects_bad_early_stops(self, stops):
+        # the huge horizon makes a stop that is never met run for minutes
+        with pytest.raises(ConfigError):
+            run(SimConfig(n=2, horizon_slots=10 ** 9), **stops)
+
     def test_shared_channel_needs_one_slot_sigma(self):
         params = (MacParams(slot_sigma=20), MacParams(slot_sigma=9))
         with pytest.raises(ConfigError):
@@ -66,6 +84,14 @@ class TestDynamics:
         assert starts[0] == 0
         assert int(starts[-1] + res.slots.durations[-1]) \
             == res.counters.wallclock_us
+
+    def test_early_stops_end_at_their_counts(self):
+        cfg = SimConfig(n=3, horizon_slots=10 ** 9, seed=5)
+        tagged = run(cfg, stop_after_tagged=(np.int64(2), 1))
+        assert tagged.counters.successes[2] == 1
+        assert tagged.success_owners[-1] == 2
+        total = run(cfg, stop_after_successes=np.int64(4))
+        assert total.counters.success_slots == 4
 
     def test_single_station_mean_interdeparture(self):
         # backoff mean (W-1)/2 idle slots plus the success slot

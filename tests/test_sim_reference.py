@@ -1,0 +1,374 @@
+"""The event loop of sim.run against the loop it replaced.
+
+The reference below is the earlier per-station-object loop, kept verbatim
+but for its name: it draws each station's backoffs from buffers of
+_BACKOFF_BUFFER doubles and every Poisson gap with its own numpy call.
+Philox streams are counter-based, so how the draws are chunked cannot
+change them, and both loops must give equal counters, success owners,
+slot traces and event traces for every config, seed and replication.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from collections import deque
+
+import numpy as np
+import pytest
+
+from dcffair import (
+    EventTrace,
+    MacParams,
+    SimConfig,
+    SimCounters,
+    SimResult,
+    SlotTrace,
+    run,
+)
+
+_BACKOFF_BUFFER = 4096
+
+
+# --- reference: the loop sim.run replaced ---
+
+class _Station:
+    __slots__ = ("params", "rng", "buffer", "buf_pos", "stage", "attempts_cur",
+                 "backlogged", "head_arrival", "packet_seq", "queue",
+                 "next_arrival", "arrival_rng", "rate_pps")
+
+    def __init__(self, params: MacParams, rng: np.random.Generator):
+        self.params = params
+        self.rng = rng
+        self.buffer = rng.random(_BACKOFF_BUFFER)
+        self.buf_pos = 0
+        self.stage = 0
+        self.attempts_cur = 0
+        self.backlogged = False
+        self.head_arrival = 0.0
+        self.packet_seq = 0
+        self.queue: deque[float] = deque()
+        self.next_arrival = math.inf
+        self.arrival_rng: np.random.Generator | None = None
+        self.rate_pps = 0.0
+
+    def draw_backoff(self) -> int:
+        # uniform over {0 .. window-1}; buffered doubles keep RNG call
+        # overhead out of the hot loop
+        if self.buf_pos == _BACKOFF_BUFFER:
+            self.buffer = self.rng.random(_BACKOFF_BUFFER)
+            self.buf_pos = 0
+        u = self.buffer[self.buf_pos]
+        self.buf_pos += 1
+        return int(u * self.params.window(self.stage))
+
+
+def _ref_run(config: SimConfig, *, replication: int = 0,
+        stop_after_tagged: tuple[int, int] | None = None,
+        stop_after_successes: int | None = None) -> SimResult:
+    """Run one simulation; deterministic given (config, replication).
+
+    stop_after_tagged = (station, count) and stop_after_successes allow a
+    run to end as soon as enough successes are observed, on top of the
+    configured horizon. They are conveniences for validation studies and do
+    not change the slot dynamics.
+    """
+    config.validate()
+    n = config.n
+    params = config.station_params()
+    sigma = params[0].slot_sigma
+    poisson = config.mode == "poisson"
+
+    stations = []
+    for i in range(n):
+        seq = np.random.SeedSequence(entropy=config.seed,
+                                     spawn_key=(replication, i))
+        st = _Station(params[i], np.random.Generator(np.random.Philox(seq)))
+        stations.append(st)
+    if poisson:
+        rates = config.arrival_rates()
+        for i, st in enumerate(stations):
+            arr_seq = np.random.SeedSequence(entropy=config.seed,
+                                             spawn_key=(replication, i, 1))
+            st.arrival_rng = np.random.Generator(np.random.Philox(arr_seq))
+            st.rate_pps = rates[i]
+            st.next_arrival = (
+                st.arrival_rng.exponential(1e6 / rates[i])
+                if rates[i] > 0 else math.inf
+            )
+
+    arrivals_ct = [0] * n
+    successes = [0] * n
+    drops = [0] * n
+    attempts = [0] * n
+    collisions_involved = [0] * n
+
+    slot_idx = 0
+    wall = 0
+    idle_slots = 0
+    success_slots = 0
+    collision_slots = 0
+
+    record_slots = config.record_slot_trace
+    record_events = config.record_event_trace
+    # transmission slots only; the idle slots are filled in at the end
+    success_slots_rec: list[int] = []
+    collision_slots_rec: list[int] = []
+    collision_us: list[int] = []
+    colliders_rec: list[tuple[int, ...]] = []
+    ev_packet: list[int] = []
+    ev_arrival: list[float] = []
+    ev_departure: list[float] = []
+    success_owners: list[int] = []
+
+    heap: list[tuple[int, int]] = []  # (arming slot index, station)
+
+    def enqueue_head(i: int, arrival_time: float) -> None:
+        st = stations[i]
+        st.backlogged = True
+        st.head_arrival = arrival_time
+        st.attempts_cur = 0
+        heapq.heappush(heap, (slot_idx + st.draw_backoff(), i))
+
+    if poisson:
+        def pump_arrivals() -> float:
+            # move every arrival with timestamp <= current slot start into
+            # its queue; return earliest pending arrival time
+            earliest = math.inf
+            for i in range(n):
+                st = stations[i]
+                while st.next_arrival <= wall:
+                    t_a = st.next_arrival
+                    arrivals_ct[i] += 1
+                    st.next_arrival = t_a + st.arrival_rng.exponential(
+                        1e6 / st.rate_pps)
+                    if st.backlogged:
+                        st.queue.append(t_a)
+                    else:
+                        st.stage = 0
+                        enqueue_head(i, t_a)
+                if st.next_arrival < earliest:
+                    earliest = st.next_arrival
+            return earliest
+    else:
+        for i in range(n):
+            arrivals_ct[i] = 1
+            enqueue_head(i, 0.0)
+
+    horizon_slots = config.horizon_slots
+    horizon_us = config.horizon_us
+    tagged_station = tagged_goal = None
+    if stop_after_tagged is not None:
+        tagged_station, tagged_goal = stop_after_tagged
+    total_successes = 0
+
+    while True:
+        if horizon_slots is not None and slot_idx >= horizon_slots:
+            break
+        if horizon_us is not None and wall >= horizon_us:
+            break
+        next_pending = pump_arrivals() if poisson else math.inf
+
+        if heap and heap[0][0] <= slot_idx:
+            # transmission slot
+            armed = [heapq.heappop(heap)[1]]
+            while heap and heap[0][0] <= slot_idx:
+                armed.append(heapq.heappop(heap)[1])
+            if len(armed) == 1:
+                i = armed[0]
+                st = stations[i]
+                dur = st.params.d_succ
+                if record_slots:
+                    success_slots_rec.append(slot_idx)
+                wall += dur
+                slot_idx += 1
+                success_slots += 1
+                successes[i] += 1
+                attempts[i] += 1
+                total_successes += 1
+                success_owners.append(i)
+                if record_events:
+                    ev_packet.append(st.packet_seq)
+                    ev_arrival.append(st.head_arrival)
+                    ev_departure.append(float(wall))
+                st.packet_seq += 1
+                st.stage = 0
+                if poisson:
+                    if st.queue:
+                        enqueue_head(i, st.queue.popleft())
+                    else:
+                        st.backlogged = False
+                else:
+                    arrivals_ct[i] += 1
+                    enqueue_head(i, float(wall))
+                if i == tagged_station and successes[i] >= tagged_goal:
+                    break
+                if (stop_after_successes is not None
+                        and total_successes >= stop_after_successes):
+                    break
+            else:
+                dur = max(stations[i].params.d_coll for i in armed)
+                if record_slots:
+                    collision_slots_rec.append(slot_idx)
+                    collision_us.append(dur)
+                    colliders_rec.append(tuple(sorted(armed)))
+                wall += dur
+                slot_idx += 1
+                collision_slots += 1
+                for i in armed:
+                    st = stations[i]
+                    attempts[i] += 1
+                    collisions_involved[i] += 1
+                    st.attempts_cur += 1
+                    rl = st.params.retry_limit
+                    if rl > 0 and st.attempts_cur >= rl:
+                        drops[i] += 1
+                        st.packet_seq += 1
+                        st.stage = 0
+                        if poisson:
+                            if st.queue:
+                                enqueue_head(i, st.queue.popleft())
+                            else:
+                                st.backlogged = False
+                        else:
+                            arrivals_ct[i] += 1
+                            enqueue_head(i, float(wall))
+                    else:
+                        st.stage += 1
+                        heapq.heappush(heap,
+                                       (slot_idx + st.draw_backoff(), i))
+        else:
+            # idle run up to the next armed station, arrival, or horizon
+            if not heap and next_pending is math.inf:
+                break  # nothing backlogged, nothing arriving
+            jump = heap[0][0] - slot_idx if heap else math.inf
+            if next_pending is not math.inf:
+                until_arrival = int(math.ceil((next_pending - wall) / sigma))
+                jump = min(jump, max(until_arrival, 1))
+            if horizon_slots is not None:
+                jump = min(jump, horizon_slots - slot_idx)
+            if horizon_us is not None:
+                jump = min(jump, int(math.ceil((horizon_us - wall) / sigma)))
+            slot_idx += jump
+            wall += jump * sigma
+            idle_slots += jump
+
+    counters = SimCounters(
+        arrivals=np.array(arrivals_ct, dtype=np.int64),
+        successes=np.array(successes, dtype=np.int64),
+        drops=np.array(drops, dtype=np.int64),
+        attempts=np.array(attempts, dtype=np.int64),
+        collisions_involved=np.array(collisions_involved, dtype=np.int64),
+        # queued packets plus the head-of-line one (always one if saturated)
+        queue_final=np.array([len(st.queue) + st.backlogged
+                              for st in stations], dtype=np.int64),
+        n_slots=slot_idx,
+        idle_slots=idle_slots,
+        success_slots=success_slots,
+        collision_slots=collision_slots,
+        wallclock_us=wall,
+    )
+    d_succ = np.array([p.d_succ for p in params], dtype=np.int64)
+    slots = (SlotTrace.from_transmissions(
+        slot_idx, sigma, success_slots_rec, success_owners,
+        d_succ[success_owners], collision_slots_rec, collision_us,
+        colliders_rec) if record_slots else None)
+    # every success is a departure, so the event stations are the owners
+    events = (EventTrace.from_lists(success_owners, ev_packet, ev_arrival,
+                                    ev_departure)
+              if record_events else None)
+    return SimResult(
+        config=config,
+        counters=counters,
+        success_owners=np.array(success_owners, dtype=np.int32),
+        slots=slots,
+        events=events,
+    )
+
+
+# --- equivalence ---
+
+HETERO = (MacParams(cw_min=8, cw_max=64), MacParams(cw_min=32, payload_dur=700),
+          MacParams(cw_min=16, retry_limit=3), MacParams(cw_min=4, cw_max=16))
+CROWDED = MacParams(cw_min=4, cw_max=16, max_backoff_stage=2, retry_limit=2)
+VALIDATION = MacParams(cw_min=128, max_backoff_stage=3)
+# (config, run keyword arguments), each run for several seeds and
+# replications
+CASES = {
+    "saturated-n1": (SimConfig(n=1, horizon_slots=20_000), {}),
+    "saturated-n2": (SimConfig(n=2, horizon_slots=30_000), {}),
+    "saturated-n10": (SimConfig(n=10, horizon_slots=30_000), {}),
+    "saturated-n50": (SimConfig(n=50, horizon_slots=20_000), {}),
+    "heterogeneous": (SimConfig(n=4, params=HETERO, horizon_slots=30_000), {}),
+    "retry-drops": (SimConfig(n=12, params=CROWDED, horizon_slots=20_000), {}),
+    "horizon-us": (SimConfig(n=3, horizon_us=7_654_321), {}),
+    "stop-after-tagged": (SimConfig(n=10, params=VALIDATION,
+                                    horizon_slots=10 ** 9),
+                          {"stop_after_tagged": (3, 100)}),
+    "stop-after-successes": (SimConfig(n=5, horizon_slots=10 ** 9),
+                             {"stop_after_successes": 777}),
+    "poisson-n1": (SimConfig(n=1, mode="poisson", arrival_rate_pps=50.0,
+                             horizon_us=2_000_000), {}),
+    "poisson-unequal": (SimConfig(n=4, mode="poisson",
+                                  arrival_rate_pps=(20.0, 55.5, 0.0, 90.0),
+                                  horizon_us=30_000_000), {}),
+    "poisson-overload": (SimConfig(n=3, mode="poisson",
+                                   arrival_rate_pps=300.0,
+                                   horizon_slots=40_000), {}),
+    "poisson-retry-drops": (SimConfig(n=6, params=CROWDED, mode="poisson",
+                                      arrival_rate_pps=200.0,
+                                      horizon_slots=8_000), {}),
+    "poisson-n50": (SimConfig(n=50, mode="poisson", arrival_rate_pps=8.0,
+                              horizon_us=5_000_000), {}),
+    "poisson-stop-after-tagged": (SimConfig(n=3, mode="poisson",
+                                            arrival_rate_pps=100.0,
+                                            horizon_slots=10 ** 9),
+                                  {"stop_after_tagged": (1, 50)}),
+    # several refills of the largest chunk: 20k backoffs at n = 1
+    "long-n1": (SimConfig(n=1, params=MacParams(cw_min=4, cw_max=8),
+                          horizon_slots=50_000, record_slot_trace=False),
+                {}),
+}
+
+
+def assert_same_run(got: SimResult, want: SimResult) -> None:
+    for name in vars(want.counters):
+        g, w = getattr(got.counters, name), getattr(want.counters, name)
+        assert np.array_equal(g, w), name
+        assert np.asarray(g).dtype == np.asarray(w).dtype, name
+    assert got.success_owners.dtype == want.success_owners.dtype
+    assert np.array_equal(got.success_owners, want.success_owners)
+    assert (got.slots is None) == (want.slots is None)
+    if want.slots is not None:
+        for name in ("codes", "owners", "durations"):
+            g, w = getattr(got.slots, name), getattr(want.slots, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert got.slots.colliders == want.slots.colliders
+    assert (got.events is None) == (want.events is None)
+    if want.events is not None:
+        for name in ("station", "packet_id", "arrival", "departure"):
+            g, w = getattr(got.events, name), getattr(want.events, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_run_equals_reference(case, seed):
+    cfg, kwargs = case
+    cfg = SimConfig(**{**vars(cfg), "seed": seed})
+    for replication in (0, 3):
+        assert_same_run(run(cfg, replication=replication, **kwargs),
+                        _ref_run(cfg, replication=replication, **kwargs))
+
+
+def test_cases_cover_what_they_claim():
+    crowded = _ref_run(CASES["retry-drops"][0])
+    assert crowded.counters.drops.sum() > 0
+    assert max(map(len, crowded.slots.colliders)) >= 3
+    assert _ref_run(CASES["poisson-retry-drops"][0]).counters.drops.sum() > 0
+    overload = _ref_run(CASES["poisson-overload"][0]).counters
+    assert overload.queue_final.sum() > 0
+    hetero = _ref_run(CASES["heterogeneous"][0]).counters
+    assert hetero.drops.sum() > 0
+    long_run = _ref_run(CASES["long-n1"][0]).counters
+    assert long_run.attempts[0] > 3 * _BACKOFF_BUFFER

@@ -377,3 +377,50 @@ def test_lf_files_read_as_crlf(tmp_path):
             _assert_same_events(back_lf, back_crlf)
         else:
             assert np.array_equal(back_lf, back_crlf)
+
+
+SEQUENCE_FAULTS = {
+    # (reader, header, rows, line and column of the first bad row)
+    "slot-reordered": (read_slot_trace_csv, SLOT_HEADER,
+                       ["0,0,idle,,20", "2,20,idle,,20", "1,40,idle,,20"],
+                       "3: slot_index 2, expected 1"),
+    "slot-not-from-zero": (read_slot_trace_csv, SLOT_HEADER,
+                           ["5,0,idle,,20", "0,20,idle,,20"],
+                           "2: slot_index 5, expected 0"),
+    "slot-edited-start": (read_slot_trace_csv, SLOT_HEADER,
+                          ["0,0,success,1,500", "1,500,idle,,20",
+                           "2,999,idle,,20"],
+                          "4: wallclock_start_us 999, expected 520"),
+    "slot-first-start": (read_slot_trace_csv, SLOT_HEADER,
+                         ["0,20,idle,,20"],
+                         "2: wallclock_start_us 20, expected 0"),
+    "owner-gap": (read_ownership_csv, OWNER_HEADER,
+                  ["0,1", "1,0", "3,1", "4,0"],
+                  "4: slot_index 3, expected 2"),
+    "owner-reordered": (read_ownership_csv, OWNER_HEADER,
+                        ["1,1", "0,0"], "2: slot_index 1, expected 0"),
+}
+
+
+@pytest.mark.parametrize("reader, header, rows, where",
+                         SEQUENCE_FAULTS.values(), ids=SEQUENCE_FAULTS.keys())
+def test_slot_indices_and_starts_checked(reader, header, rows, where,
+                                         tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("\r\n".join([header, *rows]) + "\r\n")
+    with pytest.raises(TraceFormatError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}:{where}"
+
+
+def test_edited_start_in_second_chunk_reports_its_line(tmp_path):
+    _, path = _long_slot_file(tmp_path)
+    lines = path.read_bytes().split(b"\r\n")
+    bad = traceio._CHUNK_ROWS + 45  # 0-based, so file line bad + 1
+    fields = lines[bad].split(b",")
+    fields[1] = str(int(fields[1]) + 1).encode()
+    lines[bad] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(TraceFormatError) as err:
+        read_slot_trace_csv(path)
+    assert str(err.value).startswith(f"{path}:{bad + 1}: wallclock_start_us")
