@@ -192,6 +192,12 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _jobs(arg: str) -> int:
+    if not arg.isdecimal() or int(arg) < 1:
+        raise ConfigError(f"--jobs must be an integer >= 1, got {arg}")
+    return int(arg)
+
+
 def _input_path(arg: str) -> Path:
     path = Path(arg)
     if not path.is_file():
@@ -481,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # its one option of its own, passed to cmd_<command> after out
     for name, section, text, option, spec in (
             ("simulate", "sim", "run the slot-level simulator", "--jobs",
-             dict(type=int, default=1, help="parallel replications")),
+             dict(type=_jobs, default=1, help="parallel replications")),
             ("model", None, "analytical fixed point and rates", None, None),
             ("fairness", "fairness", "conditional pmf and Jain windows",
              "--ownership", dict(type=_input_path, help="success-ownership "

@@ -1,10 +1,11 @@
 """GPS fluid reference and the recursive departure clock of a tagged station.
 
-The fluid GPS reference serves every backlogged station at rate
-C * phi_i / sum_{j in B} phi_j whenever B is the backlogged set, which is
-perfectly fair on any time scale. The departure clock decomposes the tagged
-station's packet departures into T_j = T_{j-1} + I_j, where I_j sums the
-slot durations strictly after the (j-1)-th tagged success up to and
+The fluid GPS reference serves every backlogged station at rate C * phi_i /
+sum_{j in B} phi_j whenever B is the backlogged set, which is perfectly
+fair on any time scale. It runs in virtual time and reports its busy time
+as maximal intervals of constant B. The departure clock decomposes the
+tagged station's packet departures into T_j = T_{j-1} + I_j, where I_j sums
+the slot durations strictly after the (j-1)-th tagged success up to and
 including the j-th; subtracting a fair increment leaves per-packet error
 terms e_j = I_j - fair_increment whose sample mean vanishes when the fair
 increment matches the true mean service spacing.
@@ -12,6 +13,8 @@ increment matches the true mean service spacing.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,23 +25,26 @@ from .traceio import SUCCESS, SlotTrace
 
 
 @dataclass(frozen=True)
-class GpsInterval:
-    """Maximal interval with a constant backlogged set."""
+class GpsIntervals:
+    """Maximal busy intervals as columns: one backlogged set per row."""
 
-    start: float
-    end: float
-    backlogged: tuple[int, ...]
-    delivered: np.ndarray  # fluid per station over the interval
+    start: np.ndarray        # us, shape (m,)
+    end: np.ndarray          # us, shape (m,)
+    backlogged: np.ndarray   # bool, shape (m, n)
+    delivered: np.ndarray    # work units per station, shape (m, n)
+
+    def __len__(self) -> int:
+        return self.start.size
 
 
 @dataclass
 class GpsReference:
-    """Fluid GPS finish times per station, plus the backlog intervals."""
+    """GPS finish times per station, by virtual time, and busy intervals."""
 
     weights: np.ndarray
     capacity: float  # work units per second
     finish_times: list[np.ndarray]
-    intervals: list[GpsInterval]
+    intervals: GpsIntervals
 
 
 @dataclass
@@ -69,99 +75,93 @@ class DeviationSummary:
     max_abs: float
 
 
-_BREAKPOINT_TOL = 1e-9  # us
-
-
-def gps_finish_times(
-    arrivals: Sequence[Sequence[tuple[float, float]]],
-    weights: Sequence[float] | np.ndarray,
-    capacity: float,
-) -> GpsReference:
-    """Fluid-GPS packet finish times.
+def gps_finish_times(arrivals: Sequence[Sequence[tuple[float, float]]],
+                     weights: Sequence[float] | np.ndarray,
+                     capacity: float) -> GpsReference:
+    """Fluid-GPS packet finish times, computed in virtual time.
 
     arrivals[i] lists (arrival_us, size) per packet of station i, time
-    ordered; capacity is in work units per second. Simulation proceeds over
-    backlog-change breakpoints; a packet finishes when its cumulative fluid
-    equals its size.
+    ordered; capacity is in work units per second. Virtual time V grows at
+    rate C / sum_{j in B} phi_j while the backlogged set B is not empty; a
+    packet of station i arriving at a gets the finish tag max(V(a), last tag
+    of i) + size / phi_i and finishes when V reaches it (Parekh & Gallager
+    1993). B changes only at arrivals and when V reaches a station's last
+    tag, so the loop visits those events alone and the finish times come
+    from inverting the piecewise-linear V(t) at the end.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.size
-    if len(arrivals) != n:
+    if n == 0 or len(arrivals) != n:
         raise ValueError("one arrival list per station required")
-    if capacity <= 0.0:
-        raise ValueError("capacity must be positive")
-    if np.any(weights <= 0.0):
-        raise ValueError("weights must be positive")
+    packets = [np.asarray(a, dtype=float).reshape(len(a), 2) for a in arrivals]
+    times, sizes = np.concatenate(packets).T
+    station = np.repeat(np.arange(n), [p.shape[0] for p in packets])
+    order = np.lexsort((station, times))  # by time, then station
+    work = sizes[order] / weights[station[order]]  # service in virtual time
     cap_us = capacity * 1e-6
+    if not (0.0 < cap_us < math.inf and np.all(np.isfinite(times))
+            and np.all((weights > 0.0) & (weights < math.inf))
+            and np.all((work > 0.0) & (work < math.inf))):
+        raise ValueError("capacity, weights and size / weight must be "
+                         "positive and finite, arrival times finite")
+    if np.any((np.diff(times) < 0.0) & (np.diff(station) == 0)):
+        raise ValueError("arrivals must be time ordered per station")
 
-    arr = [list(a) for a in arrivals]
-    for a in arr:
-        times = [t for t, _ in a]
-        if times != sorted(times):
-            raise ValueError("arrivals must be time ordered per station")
+    phi = weights.tolist()
+    last = [0.0] * n  # last finish tag per station
+    backlogged = [False] * n
+    heap: list[tuple[float, int]] = []  # (tag, station), refreshed lazily
+    tags: list[float] = []
+    t = v = phi_b = 0.0
+    # row r: from time t_r on, V = v_r + (t - t_r) * C / phi_r with the
+    # backlogged set of the row; a row starts only where that set changes
+    rows = [(-math.inf, 0.0, 0.0, tuple(backlogged))]
 
-    next_pkt = [0] * n          # next packet not yet queued
-    queue: list[list[float]] = [[] for _ in range(n)]  # remaining sizes
-    head: list[int] = [0] * n   # index of the head-of-line packet
-    finish: list[list[float]] = [[] for _ in range(n)]
-    intervals: list[GpsInterval] = []
+    def mark() -> None:
+        if rows[-1][0] == t:
+            rows.pop()
+        if rows[-1][3] != tuple(backlogged):
+            rows.append((t, v, phi_b, tuple(backlogged)))
 
-    pending = [a[0][0] for a in arr if a]
-    t = min(pending) if pending else 0.0
-
-    def admit(now: float) -> None:
-        for i in range(n):
-            while (next_pkt[i] < len(arr[i])
-                   and arr[i][next_pkt[i]][0] <= now + _BREAKPOINT_TOL):
-                size = arr[i][next_pkt[i]][1]
-                if size <= 0.0:
-                    raise ValueError("packet sizes must be positive")
-                queue[i].append(size)
-                next_pkt[i] += 1
-
-    admit(t)
-    while True:
-        backlogged = [i for i in range(n) if head[i] < len(queue[i])]
-        if not backlogged:
-            upcoming = [arr[i][next_pkt[i]][0] for i in range(n)
-                        if next_pkt[i] < len(arr[i])]
-            if not upcoming:
+    for a, i, w in zip(times[order].tolist() + [math.inf],
+                       station[order].tolist() + [-1], work.tolist() + [0]):
+        while heap:  # stations whose last tag V reaches by time a
+            f, j = heap[0]
+            if f != last[j]:
+                heapq.heapreplace(heap, (last[j], j))
+                continue
+            t_empty = t + (f - v) * phi_b / cap_us
+            if t_empty > a:
                 break
-            t = min(upcoming)
-            admit(t)
-            continue
-        phi_total = float(np.sum(weights[backlogged]))
-        rates = {i: cap_us * weights[i] / phi_total for i in backlogged}
-        dt_finish = min(queue[i][head[i]] / rates[i] for i in backlogged)
-        upcoming = [arr[i][next_pkt[i]][0] for i in range(n)
-                    if next_pkt[i] < len(arr[i])]
-        dt_arrival = min(upcoming) - t if upcoming else np.inf
-        dt = min(dt_finish, dt_arrival)
-        t_new = t + dt
-        delivered = np.zeros(n)
-        for i in backlogged:
-            remaining = queue[i][head[i]]
-            # a head within breakpoint tolerance of completing completes
-            if remaining / rates[i] <= dt * (1.0 + 1e-12) + _BREAKPOINT_TOL:
-                delivered[i] = remaining
-                finish[i].append(t_new)
-                head[i] += 1
-            else:
-                served = rates[i] * dt
-                delivered[i] = served
-                queue[i][head[i]] = remaining - served
-        intervals.append(GpsInterval(start=t, end=t_new,
-                                     backlogged=tuple(backlogged),
-                                     delivered=delivered))
-        t = t_new
-        admit(t)
+            heapq.heappop(heap)
+            t, v = max(t, t_empty), max(v, f)
+            backlogged[j] = False
+            phi_b = phi_b - phi[j] if heap else 0.0
+            mark()
+        if i < 0:
+            break
+        if heap:
+            v += (a - t) * cap_us / phi_b
+        t = a
+        last[i] = max(v, last[i]) + w
+        tags.append(last[i])
+        if not backlogged[i]:
+            backlogged[i] = True
+            phi_b += phi[i]
+            heapq.heappush(heap, (last[i], i))
+            mark()
 
-    return GpsReference(
-        weights=weights,
-        capacity=capacity,
-        finish_times=[np.array(f) for f in finish],
-        intervals=intervals,
-    )
+    row_t, row_v, row_phi, sets = (np.array(c) for c in zip(*rows))
+    k = np.searchsorted(row_v, tags)  # the first row whose V reaches a tag
+    finish = np.empty_like(work)
+    finish[order] = np.where(row_v[k] == tags, row_t[k], row_t[k - 1] + (
+        tags - row_v[k - 1]) * row_phi[k - 1] / cap_us)
+    busy = row_phi[:-1] > 0.0
+    sets = sets[:-1][busy]
+    intervals = GpsIntervals(row_t[:-1][busy], row_t[1:][busy], sets,
+                             sets * weights * np.diff(row_v)[busy, None])
+    return GpsReference(weights, capacity, np.split(
+        finish, np.searchsorted(station, np.arange(1, n))), intervals)
 
 
 def dcf_clock(slot_trace: SlotTrace, tagged: int,

@@ -25,11 +25,18 @@ from .errors import (
     HorizonNotFoundError,
     TruncationError,
     UndefinedIndexError,
+    is_int,
 )
 
 _EXACT_COMB_LIMIT = 50  # exact integer binomials up to k + l = 50
 _K_CAP = 2_000_000
 _L_CAP = 1_000_000
+_MASS_REACH = 40.0  # sds (+ 1) around the mean kept by _window_deviation
+# short_term_horizon asks conditional_pmf whenever the fast deviation
+# probability is this close to eps: 44x the largest gap between the two,
+# 2.2e-9, over l = 2..1e6, beta = 0.01..0.99, delta = 0.001..2 and
+# trunc = 1e-9..1e-15 (2,040 points)
+_DEVIATION_BAND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -234,6 +241,30 @@ def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,
     )
 
 
+def _window_deviation(beta: float, delta: float, l: int,
+                      trunc: float) -> float | None:
+    """short_term_horizon's deviation probability from a vectorised log pmf.
+
+    Sums p(k) for the k in the band within r = _MASS_REACH (sd + 1) of the
+    mean, where p(k) = p(k-1) beta (k + l - 1) / k is one cumulative sum
+    of logs; beyond r lies < 1e-23 of the mass for any l >= 2, beyond 2r
+    < 1e-47. None where conditional_pmf could reach its _K_CAP limit.
+    """
+    mean = l * beta / (1.0 - beta)
+    reach = _MASS_REACH * (math.sqrt(l * beta) / (1.0 - beta) + 1.0)
+    if trunc < 1e-40 or mean + 2.0 * reach >= _K_CAP:
+        return None
+    lo = max(0, math.floor(max(mean * (1.0 - delta), mean - reach)) - 1)
+    hi = math.ceil(min(mean * (1.0 + delta), mean + reach)) + 1
+    k = np.arange(lo, hi + 1, dtype=float)
+    log_p = np.cumsum(np.concatenate((
+        [math.lgamma(lo + l) - math.lgamma(lo + 1) - math.lgamma(l)
+         + l * math.log1p(-beta) + lo * math.log(beta)],
+        np.log(beta * (k[1:] + (l - 1)) / k[1:]))))
+    inside = np.abs(k - mean) <= delta * mean
+    return 1.0 - float(np.sum(np.exp(log_p[inside])))
+
+
 def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
                        contender: int, delta: float, eps: float) -> int:
     """Smallest l with P[|K - E[K|l]| > delta * E[K|l]] <= eps.
@@ -241,13 +272,19 @@ def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
     Scans l upward; beyond l = 4096 the scan switches to geometric strides
     with a bisection refinement, which is exact as long as the deviation
     probability is eventually decreasing in l (it is, by concentration of
-    the negative binomial).
+    the negative binomial). Each step compares eps with the deviation
+    probability of the truncated conditional_pmf, taken from
+    _window_deviation unless that lies within _DEVIATION_BAND of eps.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    q = np.asarray(q, dtype=float)
+    if not (is_int(tagged) and is_int(contender) and tagged != contender
+            and 0 <= tagged < len(q) and 0 <= contender < len(q)):
+        raise ValueError(f"tagged {tagged!r} and contender {contender!r} "
+                         f"must be distinct indices in 0..{len(q) - 1}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
-    q = np.asarray(q, dtype=float)
     q_t, q_c = float(q[tagged]), float(q[contender])
     trunc = min(1e-9, eps * 1e-3) if eps < 1.0 else 1e-9
 
@@ -259,15 +296,25 @@ def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
         # Truncated tail counts as deviating; it sits far above the mean.
         return float(np.sum(cpmf.pmf[~inside])) + cpmf.tail_mass
 
+    if deviation_prob(1) <= eps:  # also checks q, and covers beta = 0
+        return 1
+    beta = q_c / (q_t + q_c)
+
+    def meets(l: int) -> bool:
+        fast = _window_deviation(beta, delta, l, trunc)
+        if fast is None or abs(fast - eps) <= _DEVIATION_BAND:
+            return deviation_prob(l) <= eps
+        return fast <= eps
+
     linear_cap = 4096
-    for l in range(1, min(linear_cap, _L_CAP) + 1):
-        if deviation_prob(l) <= eps:
+    for l in range(2, min(linear_cap, _L_CAP) + 1):
+        if meets(l):
             return l
     lo = linear_cap  # known failing
     hi = linear_cap
     while True:
         hi = min(int(hi * 1.5) + 1, _L_CAP)
-        if deviation_prob(hi) <= eps:
+        if meets(hi):
             break
         lo = hi
         if hi >= _L_CAP:
@@ -276,7 +323,7 @@ def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if deviation_prob(mid) <= eps:
+        if meets(mid):
             hi = mid
         else:
             lo = mid

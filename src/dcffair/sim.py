@@ -430,6 +430,8 @@ def replicate(config: SimConfig, reps: int,
     """
     if not is_int(reps) or reps < 1:
         raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
+    if not is_int(jobs) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     if isinstance(reducer, str):
         if reducer not in _NAMED_STATISTICS:
             raise ConfigError(

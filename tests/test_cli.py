@@ -67,6 +67,17 @@ def test_simulate_replications_table(config_path, tmp_path):
     assert len(rows) == 4  # header + one row per replication
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0", "2.5", "two"])
+def test_bad_jobs_exit_2(jobs, config_path, tmp_path, capsys):
+    # one run, no replications: --jobs is checked even where unused
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(tmp_path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --jobs")
+
+
 def test_model_report(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["model", "--config", str(config_path),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,24 @@ class TestGps:
         gps = gps_finish_times(arrivals, [1.0], capacity=1000.0)
         assert gps.finish_times[0] == pytest.approx([1000, 6000])
 
+    @pytest.mark.parametrize("arrivals, weights, capacity", [
+        ([[(0.0, 1.0)]], [1.0], math.nan),
+        ([[(0.0, 1.0)]], [1.0], math.inf),
+        ([[(0.0, 1.0)], [(0.0, 1.0)]], [1.0, math.nan], 1000.0),
+        ([[(0.0, 1.0)], [(0.0, 1.0)]], [1.0, math.inf], 1000.0),
+        ([[(0.0, 1.0), (math.nan, 1.0)]], [1.0], 1000.0),
+        ([[(0.0, 1.0), (5.0, math.nan)]], [1.0], 1000.0),
+        ([[(0.0, 1.0), (5.0, math.inf)]], [1.0], 1000.0),
+    ], ids=["nan-capacity", "inf-capacity", "nan-weight", "inf-weight",
+            "nan-arrival", "nan-size", "inf-size"])
+    def test_non_finite_input_rejected(self, arrivals, weights, capacity):
+        with pytest.raises(ValueError):
+            gps_finish_times(arrivals, weights, capacity)
+
+    def test_work_underflowing_to_zero_rejected(self):
+        with pytest.raises(ValueError):
+            gps_finish_times([[(0.0, 5e-324)]], [4.0], 1000.0)
+
     def test_interval_fair_shares(self, rng):
         # on every interval each backlogged station gets phi_i / sum(phi_B)
         arrivals = [
@@ -55,12 +75,14 @@ class TestGps:
         capacity = 500_000.0  # units/s
         gps = gps_finish_times(arrivals, weights, capacity)
         cap_us = capacity * 1e-6
-        for itv in gps.intervals:
-            length = itv.end - itv.start
-            phi_total = weights[list(itv.backlogged)].sum()
-            for i in itv.backlogged:
-                share = cap_us * weights[i] / phi_total * length
-                assert itv.delivered[i] == pytest.approx(share, rel=1e-6)
+        itv = gps.intervals
+        length = itv.end - itv.start
+        phi_total = itv.backlogged @ weights
+        share = cap_us * weights / phi_total[:, None] * length[:, None]
+        assert len(itv) > 0
+        assert itv.delivered[itv.backlogged] == pytest.approx(
+            share[itv.backlogged], rel=1e-6)
+        assert np.all(itv.delivered[~itv.backlogged] == 0.0)
 
     def test_work_conservation(self, rng):
         arrivals = [
@@ -70,8 +92,8 @@ class TestGps:
         ]
         capacity = 250_000.0
         gps = gps_finish_times(arrivals, [1.0, 1.0], capacity)
-        delivered = sum(float(itv.delivered.sum()) for itv in gps.intervals)
-        busy_time = sum(itv.end - itv.start for itv in gps.intervals)
+        delivered = float(gps.intervals.delivered.sum())
+        busy_time = float(np.sum(gps.intervals.end - gps.intervals.start))
         assert delivered == pytest.approx(capacity * 1e-6 * busy_time,
                                           rel=1e-9)
         total_work = sum(s for a in arrivals for _, s in a)

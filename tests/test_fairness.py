@@ -200,6 +200,18 @@ class TestHorizon:
         assert p_at <= eps + 4 * se_at
         assert p_before >= eps - 4 * se_before
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            short_term_horizon([0.5, 0.5], 0, 1, delta=delta, eps=0.01)
+
+    @pytest.mark.parametrize("tagged, contender", [
+        (-1, 0), (0, 2), (1, 1), (0.0, 1), (True, 0), (0, np.int64(-2))])
+    def test_bad_station_indices_rejected(self, tagged, contender):
+        with pytest.raises(ValueError, match="tagged"):
+            short_term_horizon([0.5, 0.5], tagged, contender, delta=0.5,
+                               eps=0.01)
+
     def test_unreachable_horizon(self):
         with pytest.raises(HorizonNotFoundError):
             short_term_horizon([0.5, 0.5], 0, 1, delta=1e-4, eps=1e-6)

@@ -229,3 +229,9 @@ class TestReplicate:
         serial = replicate(cfg, 4, "throughput_pps", jobs=1)
         parallel = replicate(cfg, 4, "throughput_pps", jobs=2)
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("jobs", [2.5, -3, 0, True, "2"])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            replicate(quiet(2, horizon_slots=100), 2, "throughput_pps",
+                      jobs=jobs)
