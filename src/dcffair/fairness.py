@@ -25,12 +25,16 @@ from .errors import (
     HorizonNotFoundError,
     TruncationError,
     UndefinedIndexError,
+    is_finite,
     is_int,
 )
 
 _EXACT_COMB_LIMIT = 50  # exact integer binomials up to k + l = 50
 _K_CAP = 2_000_000
 _L_CAP = 1_000_000
+# exp() underflows to 0.0 below -745.2; _log_term errs by <= 1.5e-8 for k, l
+# within the caps (against 50-digit mpmath at 3,000 random points)
+_ZERO_LOG = -800.0
 _MASS_REACH = 40.0  # sds (+ 1) around the mean kept by _window_deviation
 # short_term_horizon asks conditional_pmf whenever the fast deviation
 # probability is this close to eps: 44x the largest gap between the two,
@@ -63,16 +67,35 @@ class FairnessWindowStats:
     jain_p95: float
 
 
+def _log_term(k: int, l: int, beta: float) -> float:
+    return (math.lgamma(k + l) - math.lgamma(k + 1) - math.lgamma(l)
+            + l * math.log1p(-beta) + k * math.log(beta))
+
+
 def _pmf_term(k: int, l: int, beta: float) -> float:
     # C(k+l-1, k) (1-beta)^l beta^k, exact combinatorics for small orders
     # and log-domain gammas beyond to avoid overflow.
     if k + l <= _EXACT_COMB_LIMIT:
         return math.comb(k + l - 1, k) * (1.0 - beta) ** l * beta ** k
-    log_term = (
-        math.lgamma(k + l) - math.lgamma(k + 1) - math.lgamma(l)
-        + l * math.log1p(-beta) + k * math.log(beta)
-    )
-    return math.exp(log_term)
+    return math.exp(_log_term(k, l, beta))
+
+
+def _zero_head(l: int, beta: float) -> int:
+    """How many leading terms _pmf_term gives as exactly 0.0, _K_CAP + 1 if
+    all of 0.._K_CAP do; by bisection for 50 < l <= _L_CAP. log p(k) rises
+    up to the mode (l - 1) beta / (1 - beta), so every k before the first
+    one at or above _ZERO_LOG lies below it too, and its exp() underflows."""
+    if not _EXACT_COMB_LIMIT < l <= _L_CAP:
+        return 0
+    mode = (l - 1) * beta / (1.0 - beta) if beta < 1.0 else _K_CAP
+    lo, hi = 0, min(_K_CAP, int(mode)) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _log_term(mid, l, beta) < _ZERO_LOG:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def conditional_pmf(q_tagged: float, q_contender: float, l: int,
@@ -82,12 +105,13 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
     q_tagged and q_contender are the stations' success-ownership
     probabilities; only their ratio enters through
     beta = q_contender / (q_tagged + q_contender). The pmf is truncated at
-    the smallest k_max whose remaining tail mass is <= trunc_tol.
+    the smallest k_max whose remaining tail mass is <= trunc_tol in (0, 1).
 
     Sum(pmf) + tail_mass is 1 to within 1e-12 by construction. For
     distributions needing upward of ~1e5 entries the reported tail_mass is
     limited by per-term floating-point accuracy and can sit slightly above
     trunc_tol even though the true remaining mass is provably below it.
+    Leading entries that underflow to 0.0 take no step each (_zero_head).
     """
     if not q_tagged > 0.0:
         raise ConditioningError(
@@ -98,10 +122,10 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
         raise ValueError("contender ownership probability must be >= 0")
     if q_tagged + q_contender > 1.0 + 1e-12:
         raise ValueError("ownership probabilities must sum to at most 1")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not trunc_tol > 0.0:
-        raise ValueError(f"trunc_tol must be positive, got {trunc_tol}")
+    if not (is_int(l) and l >= 1):
+        raise ValueError(f"l must be an integer >= 1, got {l!r}")
+    if not (is_finite(trunc_tol) and 0.0 < trunc_tol < 1.0):
+        raise ValueError(f"trunc_tol must be in (0, 1), got {trunc_tol!r}")
 
     beta = q_contender / (q_tagged + q_contender)
     if beta == 0.0:
@@ -114,13 +138,26 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
     # overflowing binomial and drifts by only ~1 ulp per step (re-running
     # lgamma per term would carry its absolute error at huge arguments into
     # every entry). Log-domain reseeding carries the recurrence across
-    # stretches where the head of the distribution underflows.
+    # stretches where the head of the distribution underflows. The loop
+    # starts past the head's exact 0.0 terms: each would only reseed, add
+    # 0.0 to a zero Kahan sum and meet neither stopping test.
     terms: list[float] = []
     cumulative = 0.0
     compensation = 0.0  # Kahan: tail terms must not be absorbed by the sum
-    k = 0
-    term = _pmf_term(0, l, beta)
+    k = head = _zero_head(l, beta)
+    term = 0.0  # the term before k: none, or the zero head
     while True:
+        if k > _K_CAP:
+            raise TruncationError(
+                f"tail did not reach {trunc_tol} within {_K_CAP} terms "
+                f"(l={l}, beta={beta})"
+            )
+        if k + l <= _EXACT_COMB_LIMIT or term < 1e-300:
+            # below the normal float range the recurrence cannot even
+            # climb out of the smallest denormal; reseed from log domain
+            term = _pmf_term(k, l, beta)
+        else:
+            term = term * beta * (k + l - 1) / k
         terms.append(term)
         y = term - compensation
         t = cumulative + y
@@ -138,19 +175,9 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
             if ratio < 1.0 and term * ratio / (1.0 - ratio) <= trunc_tol:
                 break
         k += 1
-        if k > _K_CAP:
-            raise TruncationError(
-                f"tail did not reach {trunc_tol} within {_K_CAP} terms "
-                f"(l={l}, beta={beta})"
-            )
-        if k + l <= _EXACT_COMB_LIMIT or term < 1e-300:
-            # below the normal float range the recurrence cannot even
-            # climb out of the smallest denormal; reseed from log domain
-            term = _pmf_term(k, l, beta)
-        else:
-            term = term * beta * (k + l - 1) / k
     return ConditionalPmf(l=l, beta=beta, k_max=k,
-                          pmf=np.array(terms), tail_mass=1.0 - cumulative)
+                          pmf=np.concatenate((np.zeros(head), terms)),
+                          tail_mass=1.0 - cumulative)
 
 
 def pmf_moments(cpmf: ConditionalPmf) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dcffair import (
     ConditioningError,
     HorizonNotFoundError,
+    TruncationError,
     UndefinedIndexError,
     conditional_pmf,
     empirical_conditional_pmf,
@@ -63,6 +64,30 @@ class TestConditionalPmf:
     def test_non_finite_input_rejected(self, q_contender, trunc_tol):
         with pytest.raises(ValueError):
             conditional_pmf(0.3, q_contender, 1, trunc_tol=trunc_tol)
+
+    @pytest.mark.parametrize("l, trunc_tol", [
+        (2.5, 1e-9), (True, 1e-9), (math.nan, 1e-9), (0, 1e-9), (-3, 1e-9),
+        (np.float64(3.0), 1e-9), ("3", 1e-9), (3, math.inf), (3, -math.inf),
+        (3, 1.0), (3, 2.0), (3, 0.0), (3, -1e-9), (3, True), (3, "1e-9"),
+    ])
+    def test_bad_l_or_trunc_tol_rejected(self, l, trunc_tol):
+        with pytest.raises(ValueError):
+            conditional_pmf(0.3, 0.3, l, trunc_tol=trunc_tol)
+
+    def test_numpy_integer_l_accepted(self):
+        want = conditional_pmf(0.3, 0.3, 100)
+        got = conditional_pmf(0.3, 0.3, np.int64(100))
+        assert got.pmf.tobytes() == want.pmf.tobytes()
+
+    def test_zero_head_reaching_the_cap_raises_at_once(self):
+        # every term up to the cap underflows; the loop this build replaced
+        # (tests/test_pmf_reference.py) steps through all 2M of them before
+        # raising this same message
+        message = ("tail did not reach 1e-09 within 2000000 terms "
+                   "(l=1000000, beta=0.95)")
+        with pytest.raises(TruncationError) as err:
+            conditional_pmf(0.05, 0.95, 1_000_000)
+        assert str(err.value) == message
 
     def test_normalization_random_draws(self, rng):
         for _ in range(1000):
