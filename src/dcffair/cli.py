@@ -52,6 +52,9 @@ _UNIT = (lambda v, n: is_finite(v) and 0 < v < 1, "a number in (0, 1)", float)
 _EPS = (lambda v, n: _UNIT[0](v, n) and is_finite(1.0 / v),  # ln(1/eps)
         "a number in (0, 1) with a finite 1/eps", float)
 _TEXT = (lambda v, n: isinstance(v, str), "a string", str)
+# conditional_pmf's zero-head jump is measured up to _L_CAP
+_WINDOW_L = (lambda v, n: _COUNT[0](v, n) and v <= fairmod._L_CAP,
+             f"an integer in 1..{fairmod._L_CAP}", int)
 
 # top-level fields; other top-level keys (scenario, ...) stay open
 _TOP_FIELDS = {"payload_bits": (_POSITIVE, 8192), "out_dir": (_TEXT, ".")}
@@ -59,7 +62,7 @@ _SECTIONS = {
     # the other sim fields are SimConfig's, checked by build_sim_config
     "sim": {"reps": (_COUNT, 1)},
     "fairness": {"tagged": (_STATION, 0), "contender": (_STATION, 1),
-                 "l": (_COUNT, 1), "trunc_tol": (_UNIT, 1e-9),
+                 "l": (_WINDOW_L, 1), "trunc_tol": (_UNIT, 1e-9),
                  "window_lens": (_COUNTS, [10, 100, 1000])},
     "clock": {"tagged": (_STATION, 0), "fair_increment_us": (_POSITIVE, None)},
     "service_curve": {
@@ -256,7 +259,7 @@ def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     }
     _write_json(out / "summary.json", summary)
     if reps > 1:
-        stats = simmod.replicate(sim_cfg, reps, "throughput_pps", jobs=jobs)
+        stats = simmod.replicate(sim_cfg, reps, jobs=jobs)
         traceio.write_csv(out / "replications.csv", {
             "replication": range(reps),
             **{f"throughput_pps_{i}": stats[:, i] for i in range(sim_cfg.n)}})

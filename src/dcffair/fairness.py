@@ -87,7 +87,7 @@ def _zero_head(l: int, beta: float) -> int:
     one at or above _ZERO_LOG lies below it too, and its exp() underflows."""
     if not _EXACT_COMB_LIMIT < l <= _L_CAP:
         return 0
-    mode = (l - 1) * beta / (1.0 - beta) if beta < 1.0 else _K_CAP
+    mode = (l - 1) * beta / (1.0 - beta)
     lo, hi = 0, min(_K_CAP, int(mode)) + 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -128,6 +128,10 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
         raise ValueError(f"trunc_tol must be in (0, 1), got {trunc_tol!r}")
 
     beta = q_contender / (q_tagged + q_contender)
+    if beta == 1.0:
+        raise ConditioningError(
+            f"tagged ownership probability {q_tagged} is negligible next to "
+            f"the contender's {q_contender}: beta rounds to 1")
     if beta == 0.0:
         return ConditionalPmf(l=l, beta=0.0, k_max=0,
                               pmf=np.array([1.0]), tail_mass=0.0)

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DivergenceError, InstabilityError
+from .errors import DivergenceError, InstabilityError, is_finite
 from .mac import SlotDistribution
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -80,8 +80,11 @@ class ArrivalEnvelope:
     rho: float       # packets per second
 
     def __post_init__(self):
-        if self.sigma_b < 0.0 or self.rho < 0.0:
-            raise ValueError("token bucket parameters must be >= 0")
+        if not (is_finite(self.sigma_b) and is_finite(self.rho)
+                and self.sigma_b >= 0.0 and self.rho >= 0.0):
+            raise ValueError("token bucket parameters must be finite and "
+                             f">= 0, got sigma_b={self.sigma_b!r}, "
+                             f"rho={self.rho!r}")
 
 
 def increment_model_from_slots(dist: SlotDistribution,

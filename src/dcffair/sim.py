@@ -22,7 +22,13 @@ transmission), so maximal runs of idle slots are applied in one jump. This
 is exactly equivalent to the per-slot loop above. The loop is flat: each
 station's state is an entry of per-station Python lists, its windows are a
 table precomputed per stage, and its stage stops at max_backoff_stage,
-beyond which the window no longer changes.
+beyond which the window no longer changes. No queue is kept: a station's
+backlog is head, the arrival time of its oldest unserved packet (the last
+departure if saturated). Poisson arrivals do not depend on the MAC, so a
+departure reads the next arrival from the station's gap stream, arming it
+at once if that is due by the end of the slot and idling it until then
+otherwise; queue_final sums the stream on from head to the start of the
+last slot, so memory does not grow with the backlog.
 
 Randomness comes from counter-based Philox streams seeded per
 (replication, station) via SeedSequence spawn keys, which makes every run
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
@@ -128,7 +133,9 @@ class SimConfig:
 
 @dataclass
 class SimCounters:
-    """Per-station and channel-level tallies for one run."""
+    """Per-station and channel-level tallies for one run. queue_final counts
+    the unserved packets that arrived by the start of the last slot (1 if
+    saturated), so arrivals = successes + drops + queue_final."""
 
     arrivals: np.ndarray
     successes: np.ndarray
@@ -163,11 +170,6 @@ class SimResult:
         """Per-station attempts per slot (the empirical tau)."""
         return self.counters.attempts / self.counters.n_slots
 
-    def collision_prob(self) -> np.ndarray:
-        """Per-station fraction of attempts that collided."""
-        attempts = np.maximum(self.counters.attempts, 1)
-        return self.counters.collisions_involved / attempts
-
 
 def _refill(buffer: list, draw: Callable[[int], np.ndarray],
             size: int) -> int:
@@ -200,6 +202,21 @@ def _early_stops(n: int, stop_after_tagged, stop_after_successes
             raise ConfigError("stop_after_successes must be an integer >= 1, "
                               f"got {total!r}")
     return int(tagged), int(goal), int(total)
+
+
+def _arrivals_by(t: float, buffered: list[float],
+                 draw: Callable[[int], np.ndarray], start: float) -> int:
+    """How many of the arrivals t, t + g1, t + g1 + g2, ... are <= start,
+    the gaps being the buffered ones (popped from the end), then new draws;
+    cumsum adds them one at a time as run does, so each rounds the same."""
+    count = 0
+    gaps = np.array(buffered[::-1], dtype=float)
+    while True:
+        times = np.cumsum(np.concatenate(([t], gaps)))
+        below = int(np.searchsorted(times, start, side="right"))
+        if below <= gaps.size:
+            return count + below
+        count, t, gaps = count + gaps.size, times[-1], draw(_MAX_CHUNK)
 
 
 def run(config: SimConfig, *, replication: int = 0,
@@ -239,11 +256,11 @@ def run(config: SimConfig, *, replication: int = 0,
     successes = [0] * n
     drops = [0] * n
     collisions = [0] * n
-    # arrival times of the head-of-line packet and those queued behind it
-    queues: list[deque[float]] = [deque() for _ in range(n)]
+    head = [0.0] * n  # arrival of the head-of-line (or, if idle, next) packet
+    idle_until = [math.inf] * n  # head[i] while idle, inf while backlogged
     heap: list[int] = []  # slot * n + station, for each armed station
 
-    slot_idx = wall = success_slots = collision_slots = 0
+    slot_idx = wall = start = success_slots = collision_slots = 0
     max_slots = int(config.horizon_slots or sys.maxsize)
     max_us = int(config.horizon_us or sys.maxsize)
     record_slots = config.record_slot_trace
@@ -258,48 +275,46 @@ def run(config: SimConfig, *, replication: int = 0,
     ev_departure: list[int] = []
     owners: list[int] = []
 
-    next_arrival = math.inf  # earliest arrival not yet in a queue
+    next_arrival = math.inf  # earliest arrival at an idle station
     if poisson:
         draw_gap = [partial(stream(i, 1).exponential, 1e6 / rate) if rate > 0
                     else None for i, rate in enumerate(config.arrival_rates())]
         gaps: list[list[float]] = [[] for _ in range(n)]
         gap_chunk = [_FIRST_CHUNK] * n
-        arrival_at = [math.inf] * n
+
+        def next_gap(i: int) -> float:
+            g = gaps[i]
+            if not g:
+                gap_chunk[i] = _refill(g, draw_gap[i], gap_chunk[i])
+            return g.pop()
+
         for i in range(n):
             if draw_gap[i] is not None:
-                gap_chunk[i] = _refill(gaps[i], draw_gap[i], gap_chunk[i])
-                arrival_at[i] = gaps[i].pop()
-        next_arrival = min(arrival_at)
+                idle_until[i] = next_gap(i)
+        head = idle_until.copy()
+        next_arrival = min(idle_until)
     else:
         for i in range(n):
-            queues[i].append(0.0)
             u_chunk[i] = _refill(uniforms[i], draw_u[i], u_chunk[i])
             heappush(heap, int(uniforms[i].pop() * windows[i][0]) * n + i)
 
     while slot_idx < max_slots and wall < max_us:
         if wall >= next_arrival:
-            # arrivals up to the slot start join their queues; one that
-            # finds its station idle becomes head of line and draws
+            # idle stations whose next packet arrived by the slot start
+            # become backlogged and draw
             for i in range(n):
-                t = arrival_at[i]
-                q = queues[i]
-                while t <= wall:
-                    if not q:
-                        u = uniforms[i]
-                        if not u:
-                            u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
-                        heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
-                                 * n + i)
-                    q.append(t)
-                    g = gaps[i]
-                    if not g:
-                        gap_chunk[i] = _refill(g, draw_gap[i], gap_chunk[i])
-                    t += g.pop()
-                arrival_at[i] = t
-            next_arrival = min(arrival_at)
+                if idle_until[i] <= wall:
+                    idle_until[i] = math.inf
+                    u = uniforms[i]
+                    if not u:
+                        u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
+                    heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
+                             * n + i)
+            next_arrival = min(idle_until)
 
         limit = (slot_idx + 1) * n  # keys below it are armed for this slot
         if heap and heap[0] < limit:
+            start = wall  # of the latest slot, where queue_final stops
             i = heappop(heap) - limit + n
             if not heap or heap[0] >= limit:
                 # success: the head-of-line packet departs
@@ -309,22 +324,22 @@ def run(config: SimConfig, *, replication: int = 0,
                 wall += d_succ[i]
                 success_slots += 1
                 owners.append(i)
-                q = queues[i]
                 if record_events:
                     ev_packet.append(successes[i] + drops[i])
-                    ev_arrival.append(q[0])
+                    ev_arrival.append(head[i])
                     ev_departure.append(wall)
                 successes[i] += 1
-                q.popleft()
-                if not poisson:
-                    q.append(wall)
                 stage[i] = tries[i] = 0
-                if q:
+                head[i] = t = head[i] + next_gap(i) if poisson else wall
+                if t <= wall:
                     u = uniforms[i]
                     if not u:
                         u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
                     heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
                              * n + i)
+                else:
+                    idle_until[i] = t
+                    next_arrival = min(next_arrival, t)
                 if (i == tagged and successes[i] == tagged_goal
                         or success_slots == total_goal):
                     break
@@ -343,14 +358,14 @@ def run(config: SimConfig, *, replication: int = 0,
                 for i in armed:
                     collisions[i] += 1
                     tries[i] += 1
-                    q = queues[i]
                     if tries[i] == retry[i]:
-                        drops[i] += 1
-                        q.popleft()
-                        if not poisson:
-                            q.append(wall)
+                        drops[i] += 1  # the head-of-line packet departs
                         stage[i] = tries[i] = 0
-                        if not q:
+                        t = head[i] + next_gap(i) if poisson else wall
+                        head[i] = t
+                        if t > wall:
+                            idle_until[i] = t
+                            next_arrival = min(next_arrival, t)
                             continue
                     elif stage[i] < top_stage[i]:
                         stage[i] += 1
@@ -374,12 +389,14 @@ def run(config: SimConfig, *, replication: int = 0,
                 target = slot_idx - (wall - max_us) // sigma
             wall += (target - slot_idx) * sigma
             slot_idx = target
+            start = wall - sigma
 
     successes_a = np.array(successes, dtype=np.int64)
     drops_a = np.array(drops, dtype=np.int64)
     collisions_a = np.array(collisions, dtype=np.int64)
-    # queued packets plus the head-of-line one (always one if saturated)
-    queue_final = np.array([len(q) for q in queues], dtype=np.int64)
+    queue_final = np.array(
+        [_arrivals_by(head[i], gaps[i], draw_gap[i], start) for i in range(n)]
+        if poisson else [1] * n, dtype=np.int64)
     counters = SimCounters(
         arrivals=successes_a + drops_a + queue_final,
         successes=successes_a,
@@ -410,49 +427,27 @@ def run(config: SimConfig, *, replication: int = 0,
     )
 
 
-_NAMED_STATISTICS: dict[str, Callable[[SimResult], np.ndarray]] = {
-    "throughput_pps": lambda r: r.throughput_pps(),
-    "attempt_rate": lambda r: r.attempt_rate(),
-    "collision_prob": lambda r: r.collision_prob(),
-    "success_count": lambda r: r.counters.successes.astype(float),
-}
-
-
-def replicate(config: SimConfig, reps: int,
-              reducer: str | Callable[[SimResult], np.ndarray],
-              jobs: int = 1) -> np.ndarray:
-    """Independent replications; row r holds the statistic of replication r.
+def replicate(config: SimConfig, reps: int, jobs: int = 1) -> np.ndarray:
+    """Per-station throughput (departures per second) of independent
+    replications: row r is run(config, replication=r).throughput_pps().
 
     Replication r runs with RNG substreams keyed by (r, station), so the
     set of replications is deterministic and pairwise independent. With
-    jobs > 1 replications execute in a process pool; results are assembled
-    in replication order either way.
+    jobs > 1 replications execute in a process pool, each worker sending
+    back its row; rows are assembled in replication order either way.
     """
     if not is_int(reps) or reps < 1:
         raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    if isinstance(reducer, str):
-        if reducer not in _NAMED_STATISTICS:
-            raise ConfigError(
-                f"unknown statistic {reducer!r}; choose from "
-                f"{sorted(_NAMED_STATISTICS)}")
-        fn = _NAMED_STATISTICS[reducer]
-    else:
-        fn = reducer
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    row = partial(_throughput, config)
+    if jobs == 1:
+        return np.stack([row(r) for r in range(reps)])
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replication_worker,
-                                    [(config, r) for r in range(reps)]))
-        rows = [fn(res) for res in results]
-    else:
-        rows = [fn(run(config, replication=r)) for r in range(reps)]
-    return np.stack([np.atleast_1d(np.asarray(row, dtype=float))
-                     for row in rows])
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return np.stack(list(pool.map(row, range(reps))))
 
 
-def _replication_worker(args: tuple[SimConfig, int]) -> SimResult:
-    config, r = args
-    return run(config, replication=r)
+def _throughput(config: SimConfig, replication: int) -> np.ndarray:
+    return run(config, replication=replication).throughput_pps()

@@ -229,6 +229,8 @@ BAD_INPUTS = {
     "zero-payload": ("model", {"payload_bits": 0}),
     "int-out_dir": ("simulate", {"out_dir": 5}),
     "fairness-zero-l": ("fairness", {"fairness.l": 0}),
+    # above the l range conditional_pmf's zero-head jump covers
+    "fairness-huge-l": ("fairness", {"fairness.l": 10_000_000}),
     "fairness-negative-tol": ("fairness", {"fairness.trunc_tol": -1}),
     "fairness-string-tagged": ("fairness", {"fairness.tagged": "x"}),
     "fairness-float-tagged": ("fairness", {"fairness.tagged": 1.9}),

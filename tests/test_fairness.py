@@ -59,6 +59,12 @@ class TestConditionalPmf:
         with pytest.raises(ConditioningError):
             conditional_pmf(0.0, 0.5, 1)
 
+    @pytest.mark.parametrize("l", [1, 10, 100])
+    def test_negligible_tagged_rejected(self, l):
+        # q_tagged below half an ulp of q_contender: beta rounds to 1
+        with pytest.raises(ConditioningError, match="negligible"):
+            conditional_pmf(1e-300, 0.5, l)
+
     @pytest.mark.parametrize("q_contender, trunc_tol",
                              [(math.nan, 1e-9), (0.3, math.nan)])
     def test_non_finite_input_rejected(self, q_contender, trunc_tol):

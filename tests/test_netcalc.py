@@ -179,6 +179,13 @@ class TestBounds:
         with pytest.raises(InstabilityError):
             backlog_bound(ArrivalEnvelope(1.0, sc.rate * 1.5), sc)
 
+    @pytest.mark.parametrize("sigma_b, rho", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (-1.0, 1.0), (1.0, -math.inf)])
+    def test_envelope_rejects_non_finite_or_negative(self, sigma_b, rho):
+        with pytest.raises(ValueError, match="token bucket"):
+            ArrivalEnvelope(sigma_b, rho)
+
     def test_boundary_rho_equals_rate(self):
         sc = service_curve(DET, 1e-2, eps=0.01)
         sc = type(sc)(rate=80.0, latency=0.05, eps=0.01, theta=sc.theta)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -199,11 +201,29 @@ class TestPoisson:
         thr = res.throughput_pps()
         assert thr.sum() == pytest.approx(2 * rate, rel=0.15)
 
+    def test_overload_memory_does_not_grow_with_backlog(self):
+        # about 1e5 and 1e6 unserved packets per station at the end, whose
+        # count crosses 1e2 and 1e3 chunks of the gap stream
+        run(SimConfig(n=1, horizon_slots=10))  # first-call set-up untraced
+        peaks = []
+        for slots in (76, 760):
+            cfg = SimConfig(n=3, mode="poisson", arrival_rate_pps=1e6,
+                            horizon_slots=slots)
+            tracemalloc.start()
+            try:
+                res = run(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.counters.queue_final.min() > 1000 * slots
+        assert max(peaks) < 3e6
+        assert abs(peaks[1] - peaks[0]) < 0.5e6
+
 
 class TestReplicate:
     def test_single_replication_equals_run(self):
         cfg = quiet(3, seed=42)
-        stats = replicate(cfg, 1, "throughput_pps")
+        stats = replicate(cfg, 1)
         direct = run(cfg).throughput_pps()
         assert stats[0] == pytest.approx(direct)
 
@@ -219,19 +239,18 @@ class TestReplicate:
         dist = slot_distribution(np.full(n, sol.tau), VALIDATION_PARAMS)
         expected = dist.p_succ[0] / dist.expected_slot_us * 1e6
         cfg = quiet(n, VALIDATION_PARAMS, horizon_slots=40_000, seed=11)
-        stats = replicate(cfg, 30, "throughput_pps")
+        stats = replicate(cfg, 30)
         per_rep = stats.mean(axis=1)
         se = per_rep.std(ddof=1) / np.sqrt(per_rep.size)
         assert abs(per_rep.mean() - expected) <= 3 * se
 
     def test_parallel_jobs_match_serial(self):
         cfg = quiet(2, horizon_slots=8000, seed=13)
-        serial = replicate(cfg, 4, "throughput_pps", jobs=1)
-        parallel = replicate(cfg, 4, "throughput_pps", jobs=2)
+        serial = replicate(cfg, 4, jobs=1)
+        parallel = replicate(cfg, 4, jobs=2)
         assert np.array_equal(serial, parallel)
 
     @pytest.mark.parametrize("jobs", [2.5, -3, 0, True, "2"])
     def test_rejects_bad_jobs(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
-            replicate(quiet(2, horizon_slots=100), 2, "throughput_pps",
-                      jobs=jobs)
+            replicate(quiet(2, horizon_slots=100), 2, jobs=jobs)

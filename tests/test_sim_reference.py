@@ -26,6 +26,8 @@ from dcffair import (
     SlotTrace,
     run,
 )
+from dcffair.sim import _MAX_CHUNK
+from dcffair.traceio import IDLE
 
 _BACKOFF_BUFFER = 4096
 
@@ -367,8 +369,59 @@ def test_cases_cover_what_they_claim():
     assert max(map(len, crowded.slots.colliders)) >= 3
     assert _ref_run(CASES["poisson-retry-drops"][0]).counters.drops.sum() > 0
     overload = _ref_run(CASES["poisson-overload"][0]).counters
-    assert overload.queue_final.sum() > 0
+    # run's final count crosses chunks of the gap stream at every station
+    assert np.all(overload.queue_final > _MAX_CHUNK)
     hetero = _ref_run(CASES["heterogeneous"][0]).counters
     assert hetero.drops.sum() > 0
     long_run = _ref_run(CASES["long-n1"][0]).counters
     assert long_run.attempts[0] > 3 * _BACKOFF_BUFFER
+
+
+# --- a seeded sweep of random set-ups ---
+
+def _random_setup(rng: np.random.Generator) -> tuple[SimConfig, dict, int]:
+    """Mostly Poisson stations with their own windows, retry limits and
+    frame lengths, rates log-uniform up to 1e5 pps (some 0), a short
+    horizon in slots or microseconds and either early stop or none."""
+    n = int(rng.integers(1, 9))
+    params = tuple(
+        MacParams(cw_min=int(cw), cw_max=int(cw) << int(rng.integers(0, 6)),
+                  max_backoff_stage=int(rng.integers(0, 6)),
+                  retry_limit=int(rng.integers(0, 5)),
+                  payload_dur=int(rng.integers(100, 2000)))
+        for cw in 2 ** rng.integers(0, 7, size=n))
+    poisson = rng.random() < 0.8
+    rates = tuple(0.0 if rng.random() < 0.1 else float(10 ** rng.uniform(0, 5))
+                  for _ in range(n))
+    horizon = ({"horizon_slots": int(10 ** rng.uniform(0, math.log10(3000)))}
+               if rng.random() < 0.5 else
+               {"horizon_us": int(10 ** rng.uniform(0, math.log10(3e6)))})
+    cfg = SimConfig(n=n, params=params,
+                    mode="poisson" if poisson else "saturated",
+                    arrival_rate_pps=rates if poisson else None,
+                    seed=int(rng.integers(2 ** 32)), **horizon)
+    stop = rng.integers(3)
+    kwargs = ({} if stop == 0 else
+              {"stop_after_tagged": (int(rng.integers(n)),
+                                     int(rng.integers(1, 50)))} if stop == 1
+              else {"stop_after_successes": int(rng.integers(1, 200))})
+    return cfg, kwargs, int(rng.integers(4))
+
+
+def test_random_setups_equal_reference():
+    # runs that end inside an idle run, or on a transmission slot during
+    # which backlogged packets arrive, with a backlog left either way
+    rng = np.random.default_rng(20080)
+    ends = {"idle": 0, "transmission": 0}
+    for index in range(100):
+        cfg, kwargs, replication = _random_setup(rng)
+        want = _ref_run(cfg, replication=replication, **kwargs)
+        try:
+            assert_same_run(run(cfg, replication=replication, **kwargs), want)
+        except AssertionError as exc:
+            raise AssertionError(f"set-up {index}: {cfg} {kwargs} "
+                                 f"replication {replication}") from exc
+        if cfg.mode == "poisson" and want.counters.queue_final.any():
+            ends["idle" if want.slots.codes[-1] == IDLE
+                 else "transmission"] += 1
+    assert min(ends.values()) >= 5, ends
