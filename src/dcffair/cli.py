@@ -6,6 +6,10 @@ are a stable scripting contract: 0 success, 2 input error, 3 analytical or
 domain error. All outputs are byte-deterministic for a given config and
 seed; wall-times are printed to stderr only.
 
+The analyses take trace data, not paths. A standalone command reads its
+trace file once, while its arguments are parsed; demo writes the same
+files as the chain of commands but hands the analyses its run in memory.
+
 Config fields can be overridden from the environment with the DCFFAIR_
 prefix, double underscores descending into sections: DCFFAIR_SIM__SEED=7
 sets config["sim"]["seed"]. Values are parsed as JSON when possible.
@@ -145,6 +149,9 @@ def build_sim_config(config: dict) -> simmod.SimConfig:
         fields["arrival_rate_pps"] = tuple(fields["arrival_rate_pps"])
     cfg = simmod.SimConfig(params=_mac_params(config.get("mac")), **fields)
     cfg.validate()
+    if cfg.mode == "poisson" and not any(cfg.arrival_rates()):
+        raise ConfigError("sim.arrival_rate_pps needs a rate > 0, got "
+                          f"{cfg.arrival_rate_pps!r}")
     return cfg
 
 
@@ -201,11 +208,13 @@ def _jobs(arg: str) -> int:
     return int(arg)
 
 
-def _input_path(arg: str) -> Path:
-    path = Path(arg)
-    if not path.is_file():
+def _trace_file(read):
+    """An argparse type: the named trace file, checked and read by read."""
+    def parse(arg: str):
+        if (path := Path(arg)).is_file():
+            return read(path)
         raise ConfigError(f"input file not found: {path}")
-    return path
+    return parse
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -226,7 +235,7 @@ def _tagged_model(sim_cfg: simmod.SimConfig):
 
 
 def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 jobs: int = 1) -> None:
+                 jobs: int = 1) -> simmod.SimResult:
     started = time.perf_counter()
     result = simmod.run(sim_cfg)
     elapsed = time.perf_counter() - started
@@ -266,6 +275,7 @@ def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     print(f"simulate: {c.n_slots} slots, {c.wallclock_us} us simulated "
           f"-> {out}", file=sys.stderr)
     print(f"simulate: runtime {elapsed:.2f}s", file=sys.stderr)
+    return result
 
 
 def cmd_model(sim_cfg: simmod.SimConfig, settings: dict, out: Path) -> None:
@@ -295,7 +305,7 @@ def cmd_model(sim_cfg: simmod.SimConfig, settings: dict, out: Path) -> None:
 
 
 def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 ownership: Path | None = None) -> None:
+                 owners: np.ndarray | None = None) -> None:
     section = settings["fairness"]
     _, dist = _tagged_model(sim_cfg)
     tagged, contender, l = (section["tagged"], section["contender"],
@@ -316,8 +326,7 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         "mean": mean,
         "variance": variance,
     }
-    if ownership is not None:
-        owners = traceio.read_ownership_csv(ownership)
+    if owners is not None:
         stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
                  for wl in section["window_lens"] if owners.size >= wl]
         columns = {name: [getattr(s, name) for s in stats] for name in
@@ -331,13 +340,12 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
 
 
 def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-              slot_trace: Path | None = None) -> None:
-    if slot_trace is None:
+              trace: traceio.SlotTrace | None = None) -> None:
+    if trace is None:
         raise ConfigError("clock analysis needs --slot-trace")
     section = settings["clock"]
     tagged = section["tagged"]
     _, dist = _tagged_model(sim_cfg)
-    trace = traceio.read_slot_trace_csv(slot_trace)
     model = netcalc.increment_model_from_slots(dist, tagged)
     fair_increment = section["fair_increment_us"]
     if fair_increment is None:
@@ -421,13 +429,13 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
 
 
 def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 event_trace: Path | None = None) -> None:
-    if event_trace is None:
+                 trace: traceio.EventTrace | None = None) -> None:
+    if trace is None:
         raise ConfigError("estimate analysis needs --event-trace")
     section = settings["estimate"]
     station = section["station"]
     min_deps = section["min_period_departures"]
-    events = traceio.read_event_trace_csv(event_trace).for_station(station)
+    events = trace.for_station(station)
     estimate = estmod.estimate_fair_rate(events, min_deps)
     report = {
         "station": station,
@@ -471,12 +479,12 @@ def cmd_demo(out: Path, seed: int | None = None) -> None:
     sim_cfg = build_sim_config(config)
     settings = _read_settings(config, sim_cfg.n, _SECTIONS)
     _write_json(out / "config.json", config)
-    cmd_simulate(sim_cfg, settings, out)
+    result = cmd_simulate(sim_cfg, settings, out)
     cmd_model(sim_cfg, settings, out)
-    cmd_fairness(sim_cfg, settings, out, ownership=out / "ownership.csv")
-    cmd_clock(sim_cfg, settings, out, slot_trace=out / "slot_trace.csv")
+    cmd_fairness(sim_cfg, settings, out, result.success_owners)
+    cmd_clock(sim_cfg, settings, out, result.slots)
     cmd_servicecurve(sim_cfg, settings, out)
-    cmd_estimate(sim_cfg, settings, out, event_trace=out / "event_trace.csv")
+    cmd_estimate(sim_cfg, settings, out, result.events)
     print(f"demo: full pipeline -> {out}", file=sys.stderr)
 
 
@@ -493,16 +501,18 @@ def _build_parser() -> argparse.ArgumentParser:
              dict(type=_jobs, default=1, help="parallel replications")),
             ("model", None, "analytical fixed point and rates", None, None),
             ("fairness", "fairness", "conditional pmf and Jain windows",
-             "--ownership", dict(type=_input_path, help="success-ownership "
-                                 "CSV for windowed statistics")),
+             "--ownership", dict(type=_trace_file(traceio.read_ownership_csv),
+                                 help="ownership CSV for Jain windows")),
             ("clock", "clock", "departure clock vs GPS reference",
-             "--slot-trace", dict(type=_input_path, help="slot trace CSV")),
+             "--slot-trace", dict(type=_trace_file(
+                 traceio.read_slot_trace_csv), help="slot trace CSV")),
             ("servicecurve", "service_curve",
              "stochastic service curve and bounds", "--plot-data",
              dict(action="store_true",
                   help="also write plot_envelope.csv (j, t_eps_us)")),
             ("estimate", "estimate", "passive fair-rate estimate",
-             "--event-trace", dict(type=_input_path, help="event trace CSV")),
+             "--event-trace", dict(type=_trace_file(
+                 traceio.read_event_trace_csv), help="event trace CSV")),
             ("demo", None, "small end-to-end pipeline", None, None)):
         p = sub.add_parser(name, help=text)
         p.set_defaults(sections=(section,) if section else (), option=None)

@@ -116,13 +116,13 @@ def _chunks(n_rows: int) -> Iterable[tuple[int, int]]:
 
 def _write_rows(path: str | Path, header: Sequence[str], chunks) -> None:
     """Write the header, then each chunk of equal-length columns of Python
-    scalars as rows; "{}" prints an int as str and a float as repr, and rows
+    scalars as rows; "%s" prints an int as str and a float as repr, and rows
     end in CRLF, as with the csv module."""
-    row = ",".join(["{}"] * len(header)) + "\r\n"
+    row = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(row.format(*header))
+        fh.write(row % tuple(header))
         for columns in chunks:
-            fh.write("".join(map(row.format, *columns)))
+            fh.write("".join(map(row.__mod__, zip(*columns))))
 
 
 def write_csv(path: str | Path, columns: dict) -> None:

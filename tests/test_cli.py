@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcffair import cli, traceio
 from dcffair.cli import main
 
 BASE_CONFIG = {
@@ -222,6 +223,10 @@ BAD_INPUTS = {
                         {**POISSON, "sim.arrival_rate_pps": "x"}),
     "sim-nan-rate": ("simulate",
                      {**POISSON, "sim.arrival_rate_pps": math.nan}),
+    # a Poisson run with nothing arriving stops before its first slot
+    "sim-zero-rate": ("simulate", {**POISSON, "sim.arrival_rate_pps": 0.0}),
+    "sim-all-zero-rates": ("simulate", {**POISSON,
+                                        "sim.arrival_rate_pps": [0, 0.0, 0]}),
     "sim-string-record": ("simulate", {"sim.record_slot_trace": "no"}),
     "sim-zero-reps": ("simulate", {"sim.reps": 0}),
     "string-payload": ("simulate", {"payload_bits": "x"}),
@@ -328,22 +333,34 @@ def test_exit_code_contract_under_fuzz(changes):
                          "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
 
 
-def test_clock_on_corrupt_trace_exit_2(config_path, tmp_path, capsys):
+# id: (command, trace option, index of the corrupted line); BASE_CONFIG's
+# run has 20,000 slots and 2,830 successes
+CORRUPT_TRACES = {
+    "clock---slot-trace": ("clock", "--slot-trace", 9000),
+    "fairness---ownership": ("fairness", "--ownership", 2000),
+    "estimate---event-trace": ("estimate", "--event-trace", 2000),
+}
+
+
+@pytest.mark.parametrize("command, option, row", CORRUPT_TRACES.values(),
+                         ids=CORRUPT_TRACES.keys())
+def test_corrupt_trace_exit_2(command, option, row, config_path, tmp_path,
+                              capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config_path),
                  "--out", str(out)]) == 0
-    trace = out / "slot_trace.csv"
+    trace = out / (option[2:].replace("-", "_") + ".csv")
     lines = trace.read_text().splitlines()
-    lines[9000] = lines[9000].replace(",", ";", 1)
+    lines[row] = lines[row].replace(",", ";", 1)
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["clock", "--config", str(config_path), "--out", str(out),
-                 "--slot-trace", str(trace)]) == 2
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 option, str(trace)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: {trace}:9001: bad row")
+    assert lines[0].startswith(f"error: {trace}:{row + 1}: bad row")
 
 
 def test_env_override(config_path, tmp_path, monkeypatch):
@@ -365,3 +382,32 @@ def test_demo_pipeline(tmp_path):
                  "clock_summary.json", "service_bounds.json",
                  "estimate.json"):
         assert (out / name).exists()
+
+
+def test_demo_equals_chain_of_commands(tmp_path):
+    demo, chain = tmp_path / "demo", tmp_path / "chain"
+    assert main(["demo", "--out", str(demo), "--seed", "5"]) == 0
+    common = ["--config", str(demo / "config.json"), "--out", str(chain)]
+    for command, *trace in (["simulate"], ["model"],
+                            ["fairness", "--ownership", "ownership.csv"],
+                            ["clock", "--slot-trace", "slot_trace.csv"],
+                            ["servicecurve"],
+                            ["estimate", "--event-trace", "event_trace.csv"]):
+        option = [trace[0], str(chain / trace[1])] if trace else []
+        assert main([command] + common + option) == 0
+    names = sorted(p.name for p in chain.iterdir())
+    assert names == sorted(p.name for p in demo.iterdir()
+                           if p.name != "config.json")
+    for name in names:
+        assert (demo / name).read_bytes() == (chain / name).read_bytes(), name
+
+
+def test_demo_reads_no_trace_file(tmp_path, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"demo read back {path}")
+
+    monkeypatch.setitem(cli.DEMO_CONFIG["sim"], "horizon_slots", 5000)
+    for name in ("read_slot_trace_csv", "read_event_trace_csv",
+                 "read_ownership_csv"):
+        monkeypatch.setattr(traceio, name, unread)
+    assert main(["demo", "--out", str(tmp_path)]) == 0
