@@ -13,7 +13,7 @@ from .errors import (AlignmentError, ConditioningError, ConfigError,
                      Error, HorizonNotFoundError, InstabilityError,
                      ModelError, NotEnoughBacklogError, SolverError,
                      TraceFormatError, TruncationError, UndefinedIndexError)
-from .estimator import (BusyPeriod, ConvergencePoint, RateEstimate,
+from .estimator import (BusyPeriods, ConvergencePoint, RateEstimate,
                         convergence_report, detect_busy_periods,
                         estimate_fair_rate)
 from .fairness import (ConditionalPmf, FairnessWindowStats, conditional_pmf,

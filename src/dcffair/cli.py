@@ -327,6 +327,10 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         "variance": variance,
     }
     if owners is not None:
+        outside = owners[(owners < 0) | (owners >= sim_cfg.n)]
+        if outside.size:
+            raise TraceFormatError(f"ownership owner_id {outside[0]} is "
+                                   f"outside 0..{sim_cfg.n - 1}")
         stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
                  for wl in section["window_lens"] if owners.size >= wl]
         columns = {name: [getattr(s, name) for s in stats] for name in

@@ -170,10 +170,10 @@ def dcf_clock(slot_trace: SlotTrace, tagged: int,
 
     fair_increment is the reference spacing subtracted from every
     increment; use the analytical mean increment for zero-mean error terms,
-    or any user-chosen value for sensitivity studies.
+    or any user-chosen value for sensitivity studies. Raises
+    EmptyClockError when the tagged station never succeeds, as in an empty
+    trace.
     """
-    if len(slot_trace) == 0:
-        raise ValueError("slot trace is empty")
     is_tagged_success = (slot_trace.codes == SUCCESS) & (slot_trace.owners == tagged)
     if not np.any(is_tagged_success):
         raise EmptyClockError(

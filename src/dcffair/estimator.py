@@ -1,13 +1,15 @@
 """Passive fair-rate estimation from one station's arrivals and departures.
 
 The queue length q(t) = #{arrivals <= t} - #{departures <= t} reconstructs
-busy periods as the maximal intervals with q >= 1. Only inter-departure
-gaps that lie entirely inside one busy period are rate samples; gaps that
-span an empty queue measure offered load, not service. The point estimate
-is 1/mean(sample), its standard error follows from the delta method, and a
-departures-over-busy-time ratio is kept alongside as a secondary statistic.
-Lag-1 autocorrelation of the samples is reported as a diagnostic but not
-corrected for.
+busy periods as the maximal intervals with q >= 1. They are found as
+columns, all at once: one searchsorted gives q just after every departure,
+a period ends where it is 0, and FIFO makes the packets between two such
+ends one period. Only inter-departure gaps that lie entirely inside one
+busy period are rate samples; gaps that span an empty queue measure offered
+load, not service. The point estimate is 1/mean(sample), its standard error
+follows from the delta method, and a departures-over-busy-time ratio is
+kept alongside as a secondary statistic. Lag-1 autocorrelation of the
+samples is reported as a diagnostic but not corrected for.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ from .traceio import EventTrace
 
 
 @dataclass(frozen=True)
-class BusyPeriod:
-    """Maximal interval with a non-empty queue."""
+class BusyPeriods:
+    """Maximal intervals with a non-empty queue, as columns: one per row."""
 
-    start: float
-    end: float
-    departures: int
+    start: np.ndarray       # us, arrival that opens the period
+    end: np.ndarray         # us, departure that empties the queue
+    departures: np.ndarray  # departures inside the period
+
+    def __len__(self) -> int:
+        return self.start.size
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ def _validated(events: EventTrace) -> tuple[np.ndarray, np.ndarray]:
         )
     arr = events.arrival
     dep = events.departure
+    if not (np.isfinite(arr).all() and np.isfinite(dep).all()):
+        raise TraceFormatError("event times must be finite")
     if np.any(np.diff(arr) < 0):
         raise TraceFormatError("arrivals are not time ordered")
     if np.any(np.diff(dep) < 0):
@@ -74,48 +81,37 @@ def _validated(events: EventTrace) -> tuple[np.ndarray, np.ndarray]:
     return arr, dep
 
 
-def detect_busy_periods(events: EventTrace) -> list[BusyPeriod]:
+def detect_busy_periods(events: EventTrace) -> BusyPeriods:
     """Busy periods of one station's queue, disjoint and time ordered."""
     arr, dep = _validated(events)
-    periods: list[BusyPeriod] = []
-    n = arr.size
-    ai = di = 0
-    q = 0
-    start = 0.0
-    dep_count = 0
-    while di < n:
-        # arrivals first on ties, so back-to-back packets bridge the point
-        if ai < n and arr[ai] <= dep[di]:
-            if q == 0:
-                start = float(arr[ai])
-                dep_count = 0
-            q += 1
-            ai += 1
-        else:
-            q -= 1
-            dep_count += 1
-            if q == 0:
-                periods.append(BusyPeriod(start=start, end=float(dep[di]),
-                                          departures=dep_count))
-            di += 1
-    return periods
+    # arrivals first on ties, so back-to-back packets bridge the point: after
+    # departure i the queue holds #{arr <= dep[i]} - (i + 1) packets
+    queued = np.searchsorted(arr, dep, "right") - np.arange(1, dep.size + 1)
+    last = np.flatnonzero(queued == 0)
+    first = np.concatenate(([0], last[:-1] + 1))
+    # FIFO: period k serves packets first[k]..last[k]
+    return BusyPeriods(start=arr[first], end=dep[last],
+                       departures=last - first + 1)
 
 
-def _period_samples(events: EventTrace,
-                    min_period_departures: int) -> tuple[list[np.ndarray],
-                                                         list[BusyPeriod],
-                                                         float]:
+def _period_samples(events: EventTrace, min_period_departures: int
+                    ) -> tuple[np.ndarray, np.ndarray, BusyPeriods, float]:
+    """Kept gaps in trace order, the departure closing each, the qualifying
+    periods and the busy fraction of the whole trace."""
     periods = detect_busy_periods(events)
     dep = events.departure
-    qualifying = [p for p in periods if p.departures >= min_period_departures]
-    samples = []
-    for p in qualifying:
-        inside = dep[(dep > p.start) & (dep <= p.end)]
-        samples.append(np.diff(inside))
+    qualifies = periods.departures >= min_period_departures
+    # gap i runs from departure i to i + 1; keep it inside a qualifying period
+    inside = np.repeat(qualifies, periods.departures)
+    inside[np.cumsum(periods.departures) - 1] = False
+    kept = np.flatnonzero(inside)
+    closing = dep[kept + 1]
     span = float(dep.max() - events.arrival.min())
-    busy_time = sum(p.end - p.start for p in periods)
+    busy_time = sum((periods.end - periods.start).tolist())
     busy_fraction = busy_time / span if span > 0 else 0.0
-    return samples, qualifying, busy_fraction
+    qualifying = BusyPeriods(periods.start[qualifies], periods.end[qualifies],
+                             periods.departures[qualifies])
+    return closing - dep[kept], closing, qualifying, busy_fraction
 
 
 def _delta_method(samples: np.ndarray) -> tuple[float, float]:
@@ -137,23 +133,22 @@ def estimate_fair_rate(events: EventTrace,
     least min_period_departures departures. The first gap of each period is
     kept. Raises when no qualifying samples exist.
     """
-    per_period, qualifying, busy_fraction = _period_samples(
+    samples, _, qualifying, busy_fraction = _period_samples(
         events, min_period_departures)
-    if not per_period or sum(s.size for s in per_period) == 0:
+    if samples.size == 0:
         raise NotEnoughBacklogError(
             "no busy period holds enough departures for a rate sample "
             f"(busy fraction {busy_fraction:.3f})",
             busy_fraction=busy_fraction,
         )
-    samples = np.concatenate(per_period)
     rate, stderr = _delta_method(samples)
     if samples.size >= 3 and np.std(samples) > 0:
         x, y = samples[:-1], samples[1:]
         lag1 = float(np.corrcoef(x, y)[0, 1])
     else:
         lag1 = 0.0
-    busy_us = sum(p.end - p.start for p in qualifying)
-    deps = sum(p.departures for p in qualifying)
+    busy_us = sum((qualifying.end - qualifying.start).tolist())
+    deps = int(qualifying.departures.sum())
     return RateEstimate(
         rate_pps=rate,
         stderr_pps=stderr,
@@ -174,44 +169,31 @@ def convergence_report(events: EventTrace, sample_counts: list[int],
     The ratio estimate for a prefix covers the busy time walked through up
     to the departure that closes the m-th sample.
     """
-    per_period, qualifying, busy_fraction = _period_samples(
+    all_samples, closing, qualifying, busy_fraction = _period_samples(
         events, min_period_departures)
-    if not per_period or sum(s.size for s in per_period) == 0:
+    if all_samples.size == 0:
         raise NotEnoughBacklogError(
             "no qualifying busy periods "
             f"(busy fraction {busy_fraction:.3f})",
             busy_fraction=busy_fraction,
         )
-    all_samples = np.concatenate(per_period)
-    sizes = [s.size for s in per_period]
-    dep = events.departure
+    samples_through = np.cumsum(qualifying.departures - 1)
+    # cumsum adds in order, so each prefix rounds as a running += does
+    busy_before = np.cumsum(np.concatenate(
+        ([0.0], qualifying.end - qualifying.start))).tolist()
     report: list[ConvergencePoint] = []
     for requested in sample_counts:
         if requested < 1:
             raise ValueError("sample counts must be >= 1")
         used = min(requested, all_samples.size)
         truncated = used < requested
-        prefix = all_samples[:used]
-        rate, stderr = _delta_method(prefix)
-        # walk periods to locate the departure closing the used-th sample
-        remaining = used
-        busy_us = 0.0
-        deps = 0
-        for p, size in zip(qualifying, sizes):
-            inside = dep[(dep > p.start) & (dep <= p.end)]
-            if remaining >= size:
-                remaining -= size
-                busy_us += p.end - p.start
-                deps += p.departures
-                if remaining == 0:
-                    break
-            else:
-                closing = inside[remaining]  # departure ending the sample
-                busy_us += float(closing) - p.start
-                deps += remaining + 1
-                remaining = 0
-                break
-        ratio = 1e6 * deps / busy_us if busy_us > 0 else float("nan")
+        rate, stderr = _delta_method(all_samples[:used])
+        # k whole periods precede the one closing the used-th sample, and
+        # each period holds one departure more than it has samples
+        k = int(np.searchsorted(samples_through, used))
+        busy_us = busy_before[k] + (float(closing[used - 1])
+                                    - float(qualifying.start[k]))
+        deps = used + k + 1
         report.append(ConvergencePoint(
             requested_m=requested,
             used_m=int(used),
@@ -220,6 +202,6 @@ def convergence_report(events: EventTrace, sample_counts: list[int],
             ci_low=rate - 1.96 * stderr,
             ci_high=rate + 1.96 * stderr,
             ci_width=2 * 1.96 * stderr,
-            ratio_rate_pps=ratio,
+            ratio_rate_pps=1e6 * deps / busy_us,
         ))
     return report

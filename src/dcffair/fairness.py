@@ -254,10 +254,10 @@ def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,
     else:
         stations, codes = np.unique(owners, return_inverse=True)
     n_windows = owners.size // window_len
-    trimmed = codes[: n_windows * window_len].reshape(n_windows, window_len)
-    counts = np.zeros((n_windows, stations.size), dtype=np.int64)
-    for w in range(n_windows):
-        counts[w] = np.bincount(trimmed[w], minlength=stations.size)
+    window = np.arange(n_windows * window_len) // window_len
+    cells = np.bincount(window * stations.size + codes[:window.size],
+                        minlength=n_windows * stations.size)
+    counts = cells.reshape(n_windows, stations.size)
     sums = counts.sum(axis=1, dtype=float)
     squares = (counts.astype(float) ** 2).sum(axis=1)
     jains = sums * sums / (stations.size * squares)

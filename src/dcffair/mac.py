@@ -140,30 +140,21 @@ def chain_attempt_probability(p: float, params: MacParams) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     m = params.max_backoff_stage
-    if params.retry_limit > 0:
-        num = 0.0
-        den = 0.0
-        weight = 1.0
-        for i in range(params.retry_limit):
-            s_i = (params.window(i) + 1) / 2.0
-            num += weight
-            den += weight * s_i
-            weight *= p
-        return num / den
-    # No retry limit: window is constant beyond stage m, so the tail of the
-    # geometric stage chain sums in closed form.
     num = 0.0
     den = 0.0
     weight = 1.0
-    for i in range(m):
+    for i in range(params.retry_limit or m):
         s_i = (params.window(i) + 1) / 2.0
         num += weight
         den += weight * s_i
         weight *= p
-    tail = weight / (1.0 - p)  # sum_{i>=m} p^i
-    s_m = (params.window(m) + 1) / 2.0
-    num += tail
-    den += tail * s_m
+    if params.retry_limit == 0:
+        # No retry limit: window is constant beyond stage m, so the tail of
+        # the geometric stage chain sums in closed form.
+        tail = weight / (1.0 - p)  # sum_{i>=m} p^i
+        s_m = (params.window(m) + 1) / 2.0
+        num += tail
+        den += tail * s_m
     return num / den
 
 

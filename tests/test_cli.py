@@ -363,6 +363,42 @@ def test_corrupt_trace_exit_2(command, option, row, config_path, tmp_path,
     assert lines[0].startswith(f"error: {trace}:{row + 1}: bad row")
 
 
+def _single_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_clock_on_header_only_trace_exit_3(config_path, tmp_path, capsys):
+    trace = tmp_path / "slot_trace.csv"
+    traceio.write_slot_trace_csv(traceio.SlotTrace.from_lists([], [], []),
+                                 trace)
+    assert main(["clock", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 3
+    assert "never succeeds" in _single_error_line(capsys.readouterr().err)
+
+
+# a short file: the default window lengths build no window from it
+@pytest.mark.parametrize("window_lens", [[1], None], ids=["1", "default"])
+@pytest.mark.parametrize("owner", [7, -2])
+def test_owner_outside_stations_exit_2(owner, window_lens, tmp_path,
+                                       capsys):
+    config = copy.deepcopy(BASE_CONFIG)
+    if window_lens is None:
+        del config["fairness"]["window_lens"]
+    else:
+        config["fairness"]["window_lens"] = window_lens
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    ownership = tmp_path / "ownership.csv"
+    traceio.write_ownership_csv([0, 1, owner, 2, 0], ownership)
+    assert main(["fairness", "--config", str(path), "--out",
+                 str(tmp_path / "out"), "--ownership", str(ownership)]) == 2
+    line = _single_error_line(capsys.readouterr().err)
+    assert f"owner_id {owner} " in line and "0..2" in line
+
+
 def test_env_override(config_path, tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("DCFFAIR_SIM__SEED", "123")

@@ -124,9 +124,11 @@ class TestDcfClock:
         assert int(ct.increments.sum()) == int(ct.departures[-1])
 
     def test_missing_tagged_station(self):
-        trace = SlotTrace.from_lists([1, 0], [1, -1], [500, 20])
-        with pytest.raises(EmptyClockError):
-            dcf_clock(trace, tagged=0, fair_increment=100.0)
+        # an empty trace is the case where the tagged station never succeeds
+        for trace in (SlotTrace.from_lists([1, 0], [1, -1], [500, 20]),
+                      SlotTrace.from_lists([], [], [])):
+            with pytest.raises(EmptyClockError):
+                dcf_clock(trace, tagged=0, fair_increment=100.0)
 
 
 class TestClockVsGps:

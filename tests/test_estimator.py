@@ -21,12 +21,12 @@ class TestBusyPeriods:
     def test_queue_empties_between_packets(self):
         periods = detect_busy_periods(
             trace([0, 1000, 2000], [500, 1500, 2500]))
-        assert [(p.start, p.end, p.departures) for p in periods] == [
+        assert list(zip(periods.start, periods.end, periods.departures)) == [
             (0, 500, 1), (1000, 1500, 1), (2000, 2500, 1)]
 
     def test_overlapping_arrivals_merge(self):
         periods = detect_busy_periods(trace([0, 100], [500, 900]))
-        assert [(p.start, p.end, p.departures) for p in periods] == [
+        assert list(zip(periods.start, periods.end, periods.departures)) == [
             (0, 900, 2)]
 
     def test_saturated_single_period(self):
@@ -34,8 +34,8 @@ class TestBusyPeriods:
         dep = [520, 1040, 1560, 2080]
         periods = detect_busy_periods(trace(arr, dep))
         assert len(periods) == 1
-        assert periods[0].departures == 4
-        assert periods[0].start == 0 and periods[0].end == 2080
+        assert periods.departures[0] == 4
+        assert periods.start[0] == 0 and periods.end[0] == 2080
 
     def test_departure_totals_conserved(self, rng):
         arr = np.sort(rng.uniform(0, 1e6, 300))
@@ -46,13 +46,23 @@ class TestBusyPeriods:
             t = max(t, arr[i]) + service[i]
             dep[i] = t
         periods = detect_busy_periods(trace(arr, dep))
-        assert sum(p.departures for p in periods) == 300
+        assert periods.departures.sum() == 300
 
     def test_fifo_violation_rejected(self):
         with pytest.raises(TraceFormatError):
             detect_busy_periods(trace([0, 10], [500, 400]))
         with pytest.raises(TraceFormatError):
             detect_busy_periods(trace([0, 10], [500, 10]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        # a NaN compares false both ways, so the order checks let it through
+        with pytest.raises(TraceFormatError, match="finite"):
+            estimate_fair_rate(trace([0, 5, 20], [10, bad, 30]))
+        with pytest.raises(TraceFormatError, match="finite"):
+            estimate_fair_rate(trace([0, 5, 20], [10, 15, bad]))
+        with pytest.raises(TraceFormatError, match="finite"):
+            estimate_fair_rate(trace([bad, 5, 20], [10, 15, 30]))
 
 
 class TestEstimate:

@@ -202,6 +202,9 @@ class TestWindows:
         stats = windowed_fairness(owners, 10, n_stations=5)
         assert stats.counts.shape == (99, 5)
         assert np.all(stats.counts.sum(axis=1) == 10)
+        per_window = [np.bincount(owners[w * 10:(w + 1) * 10], minlength=5)
+                      for w in range(99)]
+        assert np.array_equal(stats.counts, per_window)
 
     def test_requires_enough_successes(self):
         with pytest.raises(ValueError):
