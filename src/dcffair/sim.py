@@ -58,6 +58,9 @@ from .traceio import EventTrace, SlotTrace
 # their memory
 _FIRST_CHUNK = 64
 _MAX_CHUNK = 1024
+# the final backlog count draws gaps in chunks growing from _MAX_CHUNK to
+# this, so a heavily overloaded station takes few passes
+_MAX_COUNT_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -209,14 +212,15 @@ def _arrivals_by(t: float, buffered: list[float],
     """How many of the arrivals t, t + g1, t + g1 + g2, ... are <= start,
     the gaps being the buffered ones (popped from the end), then new draws;
     cumsum adds them one at a time as run does, so each rounds the same."""
-    count = 0
+    count, size = 0, _MAX_CHUNK
     gaps = np.array(buffered[::-1], dtype=float)
     while True:
         times = np.cumsum(np.concatenate(([t], gaps)))
         below = int(np.searchsorted(times, start, side="right"))
         if below <= gaps.size:
             return count + below
-        count, t, gaps = count + gaps.size, times[-1], draw(_MAX_CHUNK)
+        count, t, gaps = count + gaps.size, times[-1], draw(size)
+        size = min(2 * size, _MAX_COUNT_CHUNK)
 
 
 def run(config: SimConfig, *, replication: int = 0,

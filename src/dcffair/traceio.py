@@ -11,8 +11,13 @@ readers require slot_index to count 0, 1, ... and a slot's
 wallclock_start_us to be the sum of the durations before it.
 
 Files stream in chunks of _CHUNK_ROWS rows, so memory stays flat however
-long the trace: a chunk's columns become Python scalars with one tolist()
-each and its rows one string, and a chunk of lines is parsed by np.loadtxt.
+long the trace. A chunk is written as one byte matrix: each field is an
+(rows, width) uint8 matrix of ASCII padded with NUL (integers by
+floor_divide passes, outcome names by table lookup), the fields and the
+',' and CRLF columns are stacked side by side, and the NULs are deleted.
+Only text that is not an integer, such as a collision's colliders or a
+float's repr, is formatted one value at a time. A chunk of lines is
+parsed by np.loadtxt.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ import numpy as np
 from .errors import TraceFormatError
 
 IDLE, SUCCESS, COLLISION = 0, 1, 2
-_OUTCOME_NAMES = np.array(["idle", "success", "collision"], dtype=object)
+# outcome names by code, NUL-padded ASCII
+_OUTCOME_NAMES = np.array([b"idle", b"success", b"collision"]).view(
+    np.uint8).reshape(3, 9)
 
 _CHUNK_ROWS = 8192
 # a collision's outcome and colliders, as read back
@@ -114,68 +121,126 @@ def _chunks(n_rows: int) -> Iterable[tuple[int, int]]:
             for a in range(0, n_rows, _CHUNK_ROWS))
 
 
-def _write_rows(path: str | Path, header: Sequence[str], chunks) -> None:
-    """Write the header, then each chunk of equal-length columns of Python
-    scalars as rows; "%s" prints an int as str and a float as repr, and rows
-    end in CRLF, as with the csv module."""
-    row = ",".join(["%s"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(row % tuple(header))
-        for columns in chunks:
-            fh.write("".join(map(row.__mod__, zip(*columns))))
+def _digits(values: np.ndarray, rows: np.ndarray | None = None
+            ) -> np.ndarray:
+    """Integers as decimal ASCII, one NUL-padded row each: an (n, width)
+    uint8 matrix, '-' first in a negative's row. Rows outside the bool mask
+    rows, if given, are all NUL."""
+    if rows is not None:
+        values = np.where(rows, values, 0)
+    values = values.astype(np.int64, copy=False)
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    # negated in uint64, so int64 min gets its magnitude too
+    np.negative(magnitude, out=magnitude, where=negative)
+    top = magnitude.max()
+    width = len(str(top))
+    # floor_divide by a scalar is fastest in the narrowest dtype
+    magnitude = magnitude.astype(np.min_scalar_type(top))
+    out = np.empty((values.size, width + 1), np.uint8)
+    out[:, 0] = negative
+    out[:, 0] *= ord("-")
+    for col in range(width, 0, -1):
+        quotient = magnitude // 10
+        digit = (magnitude - quotient * 10).astype(np.uint8) + ord("0")
+        if col < width:
+            digit *= magnitude != 0  # a leading zero is NUL
+        elif rows is not None:
+            digit *= rows
+        out[:, col] = digit
+        magnitude = quotient
+    return out
+
+
+def _text(strings: list[str], rows, n: int) -> np.ndarray:
+    """ASCII strings at the given rows of an n-row field, the other rows
+    all NUL: an (n, width) uint8 matrix."""
+    text = np.array(strings, dtype=bytes)
+    out = np.zeros((n, text.itemsize), np.uint8)
+    out[rows] = text.view(np.uint8).reshape(-1, text.itemsize)
+    return out
+
+
+def _write(path: str | Path, header: Sequence[str], chunks) -> None:
+    """Write the header, then each chunk, a list of (rows, width) uint8
+    field matrices (see _digits and _text), as rows: the fields side by
+    side with ',' between and CRLF after, as with the csv module, and the
+    NUL padding dropped. No field holds a NUL, so exactly the rows remain."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for fields in chunks:
+            n = fields[0].shape[0]
+            parts = [np.full((n, 1), ord(","), np.uint8)] * (2 * len(fields))
+            parts[::2] = fields
+            parts[-1] = np.full((n, 2), (ord("\r"), ord("\n")), np.uint8)
+            fh.write(np.hstack(parts).tobytes().translate(None, b"\0"))
+
+
+def _column(values) -> np.ndarray:
+    """A write_csv column chunk as a field: integers in decimal, any other
+    value as str (so a float as its repr)."""
+    if isinstance(values, range):
+        values = np.arange(values.start, values.stop, values.step)
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "i":
+            return _digits(values)
+        values = values.tolist()
+    return _text(list(map(str, values)), slice(None), len(values))
 
 
 def write_csv(path: str | Path, columns: dict) -> None:
     """Named equal-length columns (arrays, lists or ranges) as CSV rows,
     in the dict's order."""
     cols = list(columns.values())
-    _write_rows(path, list(columns), (
-        [c[a:b].tolist() if isinstance(c, np.ndarray) else c[a:b]
-         for c in cols] for a, b in _chunks(len(cols[0]))))
+    _write(path, list(columns), ([_column(c[a:b]) for c in cols]
+                                 for a, b in _chunks(len(cols[0]))))
 
 
-def _us_values(values: np.ndarray) -> list:
-    """Integral microsecond values as int, the others as float."""
-    out = values.astype(object)
-    integral = np.isfinite(values) & (values == np.trunc(values))
-    out[integral] = list(map(int, values[integral].tolist()))
-    return out.tolist()
+def _us_field(values: np.ndarray) -> np.ndarray:
+    """Microsecond times: integral ones as integers (-0.0 as 0), the others
+    as their repr. Non-finite values, and integral ones beyond int64, are
+    formatted one at a time."""
+    whole = (np.isfinite(values) & (values == np.trunc(values))
+             & (np.abs(values) < 2.0 ** 63))
+    other = np.flatnonzero(~whole)
+    texts = [str(int(v)) if v.is_integer() else repr(v)
+             for v in values[other].tolist()]
+    return np.hstack([_digits(values, whole),
+                      _text(texts, other, values.size)])
 
 
-def _slot_columns(trace: SlotTrace):
+def _slot_fields(trace: SlotTrace):
     starts = trace.wallclock_starts()
     done = 0  # collisions written so far
     for a, b in _chunks(len(trace)):
         codes = trace.codes[a:b]
-        who = np.full(b - a, "", dtype=object)
-        success = codes == SUCCESS
-        who[success] = trace.owners[a:b][success].tolist()
         collision = np.flatnonzero(codes == COLLISION)
-        who[collision] = [";".join(map(str, c)) for c in
-                          trace.colliders[done:done + collision.size]]
+        colliders = [";".join(map(str, c)) for c in
+                     trace.colliders[done:done + collision.size]]
         done += collision.size
-        yield (range(a, b), starts[a:b].tolist(),
-               _OUTCOME_NAMES[codes].tolist(), who.tolist(),
-               trace.durations[a:b].tolist())
+        who = np.hstack([_digits(trace.owners[a:b], codes == SUCCESS),
+                         _text(colliders, collision, b - a)])
+        yield [_digits(np.arange(a, b)), _digits(starts[a:b]),
+               _OUTCOME_NAMES.take(codes, axis=0), who,
+               _digits(trace.durations[a:b])]
 
 
 def write_slot_trace_csv(trace: SlotTrace, path: str | Path) -> None:
-    _write_rows(path, ["slot_index", "wallclock_start_us", "outcome",
-                       "owner_or_colliders", "duration_us"],
-                _slot_columns(trace))
+    _write(path, ["slot_index", "wallclock_start_us", "outcome",
+                  "owner_or_colliders", "duration_us"], _slot_fields(trace))
 
 
 def write_event_trace_csv(trace: EventTrace, path: str | Path) -> None:
-    _write_rows(path, ["station", "packet_id", "arrival_us", "departure_us"],
-                ((trace.station[a:b].tolist(), trace.packet_id[a:b].tolist(),
-                  _us_values(trace.arrival[a:b]),
-                  _us_values(trace.departure[a:b]))
-                 for a, b in _chunks(len(trace))))
+    _write(path, ["station", "packet_id", "arrival_us", "departure_us"],
+           ([_digits(trace.station[a:b]), _digits(trace.packet_id[a:b]),
+             _us_field(trace.arrival[a:b]), _us_field(trace.departure[a:b])]
+            for a, b in _chunks(len(trace))))
 
 
 def write_ownership_csv(owners: Sequence[int] | np.ndarray,
                         path: str | Path) -> None:
-    """Success-ownership sequence, one row per successful slot."""
+    """Success-ownership sequence, one row per success; slot_index
+    is the success's ordinal 0, 1, 2, ..., not its channel slot index."""
     owners = np.asarray(owners, dtype=np.int64)
     write_csv(path, {"slot_index": range(owners.size), "owner_id": owners})
 
@@ -217,15 +282,46 @@ def _read_rows(path: str | Path, first: str, what: str, dtype,
             for name in dtype.names}
 
 
+def _reject(path: str | Path, bad: np.ndarray, message) -> None:
+    """Raise naming the line of the first row in the bool mask bad, with
+    message(row index) as the reason."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        k = int(rows[0])
+        raise TraceFormatError(f"{path}:{k + 2}: {message(k)}")
+
+
 def _check_column(path: str | Path, name: str, got: np.ndarray,
                   want: np.ndarray) -> None:
     """Raise naming the line of the first row whose name column is not
     the value the rows before it imply."""
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        k = int(bad[0])
-        raise TraceFormatError(f"{path}:{k + 2}: {name} {got[k]}, "
-                               f"expected {want[k]}")
+    _reject(path, got != want, lambda k: f"{name} {got[k]}, "
+                                         f"expected {want[k]}")
+
+
+def _check_slots(path: str | Path, trace: SlotTrace) -> None:
+    """Raise naming the line of the first slot no DCF channel can have: a
+    duration below 1 us, an idle slot longer or shorter than the first,
+    a negative success owner, or a collision that does not name two or
+    more distinct stations >= 0 in ascending order."""
+    codes, durations = trace.codes, trace.durations
+    _reject(path, durations < 1,
+            lambda k: f"duration_us {durations[k]}, expected >= 1")
+    idle = codes == IDLE
+    if idle.any():
+        sigma = durations[idle][0]
+        _reject(path, idle & (durations != sigma),
+                lambda k: f"idle duration_us {durations[k]}, expected "
+                          f"{sigma} as in the first idle slot")
+    _reject(path, (codes == SUCCESS) & (trace.owners < 0),
+            lambda k: f"success owner {trace.owners[k]}, expected >= 0")
+    rows = np.flatnonzero(codes == COLLISION).tolist()
+    for k, c in zip(rows, trace.colliders):
+        if len(c) < 2 or c[0] < 0 or any(a >= b for a, b in zip(c, c[1:])):
+            raise TraceFormatError(
+                f"{path}:{k + 2}: colliders {';'.join(map(str, c))}, "
+                "expected two or more distinct stations >= 0 in ascending "
+                "order")
 
 
 def read_slot_trace_csv(path: str | Path) -> SlotTrace:
@@ -252,6 +348,7 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
                   np.arange(len(trace)))
     _check_column(path, "wallclock_start_us", columns["wallclock_start_us"],
                   trace.wallclock_starts())
+    _check_slots(path, trace)
     return trace
 
 

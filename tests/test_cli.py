@@ -363,6 +363,35 @@ def test_corrupt_trace_exit_2(command, option, row, config_path, tmp_path,
     assert lines[0].startswith(f"error: {trace}:{row + 1}: bad row")
 
 
+# id: (the last row of a slot trace, the reason named after its line);
+# the rows before it are valid and the prefix sums hold
+IMPOSSIBLE_SLOTS = {
+    "duration-0": ("3,1000,success,2,0", "duration_us 0, expected >= 1"),
+    "duration-negative": ("3,1000,success,2,-20",
+                          "duration_us -20, expected >= 1"),
+    "idle-unequal": ("3,1000,idle,,30", "idle duration_us 30, expected 20"),
+    "owner-negative": ("3,1000,success,-1,500", "success owner -1, "),
+    "one-collider": ("3,1000,collision,3,480", "colliders 3, "),
+    "descending-colliders": ("3,1000,collision,2;1,480", "colliders 2;1, "),
+    "repeated-collider": ("3,1000,collision,1;1,480", "colliders 1;1, "),
+    "negative-collider": ("3,1000,collision,-1;2,480", "colliders -1;2, "),
+}
+
+
+@pytest.mark.parametrize("row, reason", IMPOSSIBLE_SLOTS.values(),
+                         ids=IMPOSSIBLE_SLOTS.keys())
+def test_impossible_slot_exit_2(row, reason, config_path, tmp_path, capsys):
+    trace = tmp_path / "slot_trace.csv"
+    trace.write_text("\r\n".join([
+        "slot_index,wallclock_start_us,outcome,owner_or_colliders,"
+        "duration_us", "0,0,success,1,500", "1,500,idle,,20",
+        "2,520,collision,0;2,480", row]) + "\r\n")
+    assert main(["clock", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 2
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: {trace}:5: {reason}")
+
+
 def _single_error_line(err: str) -> str:
     assert "Traceback" not in err
     lines = err.strip().splitlines()

@@ -1,7 +1,10 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcffair import (
     EventTrace,
@@ -279,6 +282,86 @@ def test_write_csv_matches_csv_writer(tmp_path):
         writer.writerow(list(columns))
         writer.writerows([j, int(c), v, float(x)] for j, c, v, x
                          in zip(*columns.values()))
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# --- the byte formatter against the reference writers, value by value ---
+
+INT64 = np.iinfo(np.int64)
+EDGE_INTS = sorted({0, INT64.min, INT64.max, INT64.min + 1, INT64.max - 1}
+                   | {s * (10 ** k + d) for k in range(19) for d in (-1, 0, 1)
+                      for s in (1, -1)})
+EDGE_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 2.0 ** 63,
+               -(2.0 ** 63), 1e300, -1e300, 0.5, 1e15 + 0.5]
+ints64 = st.sampled_from(EDGE_INTS) | st.integers(INT64.min, INT64.max)
+floats64 = (st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=True)
+            | st.integers(-(2 ** 70), 2 ** 70).map(float))
+# chunks of a few rows, so field widths change from chunk to chunk
+small_chunks = st.integers(1, 4)
+PROPERTY = settings(max_examples=60, derandomize=True, deadline=None,
+                    database=None)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formatter")
+
+
+@PROPERTY
+@given(chunk=small_chunks, rows=st.lists(
+    st.tuples(st.integers(-2 ** 31, 2 ** 31 - 1), ints64, floats64,
+              floats64), max_size=12))
+def test_event_formatter_matches_reference(chunk, rows, scratch):
+    trace = EventTrace.from_lists(*zip(*rows)) if rows else \
+        EventTrace.from_lists([], [], [], [])
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        _assert_files_identical(write_event_trace_csv,
+                                _ref_write_event_trace_csv, trace, scratch)
+
+
+@PROPERTY
+@given(chunk=small_chunks, slots=st.lists(st.one_of(
+    st.tuples(st.just(0), st.just(-1), ints64, st.just(())),
+    st.tuples(st.just(1), st.integers(-2 ** 31, 2 ** 31 - 1), ints64,
+              st.just(())),
+    st.tuples(st.just(2), st.just(-1), ints64,
+              st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=50,
+                       unique=True).map(lambda c: tuple(sorted(c))))),
+    max_size=12))
+def test_slot_formatter_matches_reference(chunk, slots, scratch):
+    codes, owners, durations, colliders = zip(*slots) if slots else \
+        ([], [], [], [])
+    trace = SlotTrace.from_lists(codes, owners, durations,
+                                 [c for c in colliders if c])
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        _assert_files_identical(write_slot_trace_csv,
+                                _ref_write_slot_trace_csv, trace, scratch)
+
+
+@PROPERTY
+@given(chunk=small_chunks, owners=st.lists(ints64, max_size=12))
+def test_ownership_formatter_matches_reference(chunk, owners, scratch):
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        _assert_files_identical(write_ownership_csv,
+                                _ref_write_ownership_csv,
+                                np.array(owners, dtype=np.int64), scratch)
+
+
+@PROPERTY
+@given(chunk=small_chunks, rows=st.lists(
+    st.tuples(ints64, floats64, st.integers(-10 ** 30, 10 ** 30), floats64),
+    min_size=1, max_size=12))
+def test_write_csv_formatter_matches_csv_writer(chunk, rows, scratch):
+    ints, floats, big, listed = zip(*rows)
+    columns = {"n": range(3, 3 + len(rows)), "i": np.array(ints),
+               "f": np.array(floats), "big": list(big), "x": list(listed)}
+    path, ref = scratch / "new.csv", scratch / "ref.csv"
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        traceio.write_csv(path, columns)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        writer.writerows(zip(*columns.values()))
     assert path.read_bytes() == ref.read_bytes()
 
 
