@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,13 @@ def _trace_file(read):
     return parse
 
 
+def _check_stations(what: str, stations: np.ndarray, n: int) -> None:
+    """Raise naming the first of the trace's stations outside 0..n-1."""
+    outside = stations[(stations < 0) | (stations >= n)]
+    if outside.size:
+        raise TraceFormatError(f"{what} {outside[0]} is outside 0..{n - 1}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -327,10 +335,7 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         "variance": variance,
     }
     if owners is not None:
-        outside = owners[(owners < 0) | (owners >= sim_cfg.n)]
-        if outside.size:
-            raise TraceFormatError(f"ownership owner_id {outside[0]} is "
-                                   f"outside 0..{sim_cfg.n - 1}")
+        _check_stations("ownership owner_id", owners, sim_cfg.n)
         stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
                  for wl in section["window_lens"] if owners.size >= wl]
         columns = {name: [getattr(s, name) for s in stats] for name in
@@ -347,6 +352,10 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
               trace: traceio.SlotTrace | None = None) -> None:
     if trace is None:
         raise ConfigError("clock analysis needs --slot-trace")
+    success = trace.codes == traceio.SUCCESS
+    _check_stations("slot trace owner", trace.owners[success], sim_cfg.n)
+    _check_stations("slot trace collider", np.fromiter(
+        chain.from_iterable(trace.colliders), np.int64), sim_cfg.n)
     section = settings["clock"]
     tagged = section["tagged"]
     _, dist = _tagged_model(sim_cfg)

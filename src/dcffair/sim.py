@@ -269,7 +269,7 @@ def run(config: SimConfig, *, replication: int = 0,
     max_us = int(config.horizon_us or sys.maxsize)
     record_slots = config.record_slot_trace
     record_events = config.record_event_trace
-    # transmission slots only; the idle slots are filled in at the end
+    # transmission slots only; the idle runs are the gaps between them
     success_at: list[int] = []
     collision_at: list[int] = []
     collision_us: list[int] = []
@@ -414,18 +414,20 @@ def run(config: SimConfig, *, replication: int = 0,
         collision_slots=collision_slots,
         wallclock_us=wall,
     )
+    success_owners = np.array(owners, dtype=np.int32)
     slots = (SlotTrace.from_transmissions(
-        slot_idx, sigma, success_at, owners,
-        np.array(d_succ, dtype=np.int64)[owners], collision_at, collision_us,
-        colliders) if record_slots else None)
+        slot_idx, sigma, success_at, success_owners,
+        np.array(d_succ, dtype=np.int64)[success_owners], collision_at,
+        collision_us, colliders) if record_slots else None)
     # every success is a departure, so the event stations are the owners
-    events = (EventTrace.from_lists(owners, ev_packet, ev_arrival,
-                                    ev_departure)
+    # (a copy, so that neither result array aliases the other)
+    events = (EventTrace.from_lists(success_owners.copy(), ev_packet,
+                                    ev_arrival, ev_departure)
               if record_events else None)
     return SimResult(
         config=config,
         counters=counters,
-        success_owners=np.array(owners, dtype=np.int32),
+        success_owners=success_owners,
         slots=slots,
         events=events,
     )

@@ -2,13 +2,15 @@
 
 Slot trace CSV:   slot_index,wallclock_start_us,outcome,owner_or_colliders,duration_us
 Event trace CSV:  station,packet_id,arrival_us,departure_us
-Ownership CSV:    slot_index,owner_id
+Ownership CSV:    success_index,owner_id
 
-Collision members are ';'-joined in owner_or_colliders. Rows end in CRLF,
-as with the csv module; the readers accept CRLF and LF alike. Integral
-event timestamps print as integers, the others as the float's repr. The
-readers require slot_index to count 0, 1, ... and a slot's
-wallclock_start_us to be the sum of the durations before it.
+A slot trace row is a transmission slot or a maximal run of k idle slots,
+whose owner_or_colliders holds k and whose duration_us is k idle slots';
+a collision's members are ';'-joined there. The readers require a row's
+slot_index and wallclock_start_us to be the sums of the counts (1 for a
+transmission) and of the durations before it. Rows end in CRLF, as with
+the csv module; the readers accept CRLF and LF alike. Integral event
+timestamps print as integers, the others as the float's repr.
 
 Files stream in chunks of _CHUNK_ROWS rows, so memory stays flat however
 long the trace. A chunk is written as one byte matrix: each field is an
@@ -46,25 +48,33 @@ _COLLISION_FIELDS = re.compile(r",collision,([^,\n]*),")
 
 @dataclass
 class SlotTrace:
-    """Compact per-slot trace: outcome codes, success owner, duration.
+    """Run-length slot trace: one row per transmission slot and one per
+    maximal run of idle slots, in channel order.
 
-    colliders holds one id-tuple per collision slot, in collision order.
+    counts holds the slots a row covers, 1 for a transmission and k for an
+    idle run, whose duration is its k idle slots together. colliders holds
+    one id-tuple per collision row, in collision order.
     """
 
     codes: np.ndarray       # int8, IDLE/SUCCESS/COLLISION
     owners: np.ndarray      # int32, success owner or -1
     durations: np.ndarray   # int64 microseconds
+    counts: np.ndarray      # int64 slots
     colliders: list[tuple[int, ...]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return int(self.codes.size)
 
     @classmethod
-    def from_lists(cls, codes, owners, durations, colliders=None):
+    def from_lists(cls, codes, owners, durations, colliders=None,
+                   counts=None):
+        """Rows from lists; counts defaults to one slot per row."""
         return cls(
             codes=np.asarray(codes, dtype=np.int8),
             owners=np.asarray(owners, dtype=np.int32),
             durations=np.asarray(durations, dtype=np.int64),
+            counts=np.asarray([1] * len(codes) if counts is None else counts,
+                              dtype=np.int64),
             colliders=list(colliders or []),
         )
 
@@ -72,21 +82,35 @@ class SlotTrace:
     def from_transmissions(cls, n_slots: int, idle_us: int, successes,
                            owners, success_us, collisions, collision_us,
                            colliders) -> "SlotTrace":
-        """n_slots idle slots of idle_us each, except at the slot indices
-        successes (won by owners) and collisions."""
-        trace = cls.from_lists(np.zeros(n_slots), np.full(n_slots, -1),
-                               np.full(n_slots, idle_us), colliders)
-        trace.codes[successes], trace.codes[collisions] = SUCCESS, COLLISION
-        trace.durations[successes] = success_us
-        trace.durations[collisions] = collision_us
-        trace.owners[successes] = owners
+        """n_slots slots, idle of idle_us each except at the ascending slot
+        indices successes (won by owners) and collisions: the transmission
+        rows in slot order, with a row for each idle run between them."""
+        at = np.array([*successes, *collisions], dtype=np.int64)
+        order = np.argsort(at, kind="stable")  # two ascending runs: a merge
+        # idle slots before each transmission, and after the last one
+        gaps = np.diff(at[order], prepend=-1, append=n_slots) - 1
+        idle = gaps > 0
+        runs_before = np.cumsum(idle)
+        tx = np.arange(order.size) + runs_before[:-1]  # transmission rows
+        counts = np.ones(order.size + runs_before[-1], dtype=np.int64)
+        counts[(np.arange(gaps.size) + runs_before - 1)[idle]] = gaps[idle]
+        trace = cls(codes=np.zeros(counts.size, dtype=np.int8),
+                    owners=np.full(counts.size, -1, dtype=np.int32),
+                    durations=counts * idle_us, counts=counts,
+                    colliders=list(colliders))
+        trace.codes[tx] = np.where(order < len(successes), SUCCESS, COLLISION)
+        trace.owners[tx] = np.concatenate(
+            (owners, np.full(len(collisions), -1, dtype=np.int32)))[order]
+        trace.durations[tx] = np.concatenate((success_us, collision_us))[order]
         return trace
 
     def wallclock_starts(self) -> np.ndarray:
-        """Slot start times: prefix sums of the preceding durations."""
-        starts = np.zeros(len(self), dtype=np.int64)
-        np.cumsum(self.durations[:-1], out=starts[1:])
-        return starts
+        """Row start times: prefix sums of the preceding durations."""
+        return np.cumsum(self.durations) - self.durations
+
+    def slot_indices(self) -> np.ndarray:
+        """Each row's first slot: prefix sums of the preceding counts."""
+        return np.cumsum(self.counts) - self.counts
 
 
 @dataclass
@@ -210,7 +234,7 @@ def _us_field(values: np.ndarray) -> np.ndarray:
 
 
 def _slot_fields(trace: SlotTrace):
-    starts = trace.wallclock_starts()
+    starts, slots = trace.wallclock_starts(), trace.slot_indices()
     done = 0  # collisions written so far
     for a, b in _chunks(len(trace)):
         codes = trace.codes[a:b]
@@ -218,9 +242,12 @@ def _slot_fields(trace: SlotTrace):
         colliders = [";".join(map(str, c)) for c in
                      trace.colliders[done:done + collision.size]]
         done += collision.size
-        who = np.hstack([_digits(trace.owners[a:b], codes == SUCCESS),
+        # a success's owner or an idle run's count, else the colliders
+        who = np.hstack([_digits(np.where(codes == IDLE, trace.counts[a:b],
+                                          trace.owners[a:b]),
+                                 codes != COLLISION),
                          _text(colliders, collision, b - a)])
-        yield [_digits(np.arange(a, b)), _digits(starts[a:b]),
+        yield [_digits(slots[a:b]), _digits(starts[a:b]),
                _OUTCOME_NAMES.take(codes, axis=0), who,
                _digits(trace.durations[a:b])]
 
@@ -239,10 +266,11 @@ def write_event_trace_csv(trace: EventTrace, path: str | Path) -> None:
 
 def write_ownership_csv(owners: Sequence[int] | np.ndarray,
                         path: str | Path) -> None:
-    """Success-ownership sequence, one row per success; slot_index
-    is the success's ordinal 0, 1, 2, ..., not its channel slot index."""
+    """Success-ownership sequence, one row per success, numbered by
+    success_index 0, 1, 2, ..."""
     owners = np.asarray(owners, dtype=np.int64)
-    write_csv(path, {"slot_index": range(owners.size), "owner_id": owners})
+    write_csv(path, {"success_index": range(owners.size),
+                     "owner_id": owners})
 
 
 def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
@@ -299,24 +327,35 @@ def _check_column(path: str | Path, name: str, got: np.ndarray,
                                          f"expected {want[k]}")
 
 
-def _check_slots(path: str | Path, trace: SlotTrace) -> None:
-    """Raise naming the line of the first slot no DCF channel can have: a
-    duration below 1 us, an idle slot longer or shorter than the first,
-    a negative success owner, or a collision that does not name two or
-    more distinct stations >= 0 in ascending order."""
-    codes, durations = trace.codes, trace.durations
+def _check_slots(path: str | Path, codes: np.ndarray, who: np.ndarray,
+                 durations: np.ndarray,
+                 colliders: list[tuple[int, ...]]) -> None:
+    """Raise naming the line of the first row no DCF channel can have: a
+    duration below 1 us; an idle run of less than 1 slot, right after
+    another idle run, or not lasting its count of the first idle run's
+    idle slot; a success owner outside 0..2^31-1; or a collision that does
+    not name two or more distinct stations >= 0 in ascending order. who
+    holds a success's owner and an idle run's count."""
     _reject(path, durations < 1,
             lambda k: f"duration_us {durations[k]}, expected >= 1")
     idle = codes == IDLE
+    _reject(path, idle & (who < 1),
+            lambda k: f"idle count {who[k]}, expected >= 1")
+    _reject(path, idle & np.concatenate(([False], idle[:-1])),
+            lambda k: "idle run right after an idle run, expected one row "
+                      "per maximal idle run")
     if idle.any():
-        sigma = durations[idle][0]
-        _reject(path, idle & (durations != sigma),
+        first = np.flatnonzero(idle)[0]
+        sigma = durations[first] // who[first]
+        _reject(path, idle & (durations != who * sigma),
                 lambda k: f"idle duration_us {durations[k]}, expected "
-                          f"{sigma} as in the first idle slot")
-    _reject(path, (codes == SUCCESS) & (trace.owners < 0),
-            lambda k: f"success owner {trace.owners[k]}, expected >= 0")
+                          f"{who[k] * sigma}, its count {who[k]} times the "
+                          f"idle slot of {sigma} us")
+    _reject(path, (codes == SUCCESS) & ((who < 0)
+                                        | (who != who.astype(np.int32))),
+            lambda k: f"success owner {who[k]}, expected 0..{2**31 - 1}")
     rows = np.flatnonzero(codes == COLLISION).tolist()
-    for k, c in zip(rows, trace.colliders):
+    for k, c in zip(rows, colliders):
         if len(c) < 2 or c[0] < 0 or any(a >= b for a, b in zip(c, c[1:])):
             raise TraceFormatError(
                 f"{path}:{k + 2}: colliders {';'.join(map(str, c))}, "
@@ -328,39 +367,69 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
     colliders: list[tuple[int, ...]] = []
 
     def prepare(text: str) -> str:
-        # outcomes become codes and owner_or_colliders an integer, so the
+        # outcomes become codes and a collision's colliders -1, so the
         # chunk parses as integers; each row must name one known outcome
         found = _COLLISION_FIELDS.findall(text)
-        if (len(found) + text.count(",idle,,") + text.count(",success,")
+        if (len(found) + text.count(",idle,") + text.count(",success,")
                 != text.count("\n") + (not text.endswith("\n"))):
             raise ValueError("unknown outcome")
         colliders.extend(tuple(map(int, c.split(";"))) for c in found)
         return (_COLLISION_FIELDS.sub(",2,-1,", text)
-                .replace(",idle,,", ",0,-1,").replace(",success,", ",1,"))
+                .replace(",idle,", ",0,").replace(",success,", ",1,"))
 
     columns = _read_rows(
         path, "slot_index", "a slot trace CSV",
         [("slot_index", "i8"), ("wallclock_start_us", "i8"), ("codes", "i1"),
-         ("owners", "i4"), ("durations", "i8")], prepare)
-    trace = SlotTrace(codes=columns["codes"], owners=columns["owners"],
-                      durations=columns["durations"], colliders=colliders)
+         ("who", "i8"), ("durations", "i8")], prepare)
+    codes, who = columns["codes"], columns["who"]
+    _check_slots(path, codes, who, columns["durations"], colliders)
+    trace = SlotTrace(codes=codes,
+                      owners=np.where(codes == SUCCESS, who, -1).astype(
+                          np.int32),
+                      durations=columns["durations"],
+                      counts=np.where(codes == IDLE, who, 1),
+                      colliders=colliders)
     _check_column(path, "slot_index", columns["slot_index"],
-                  np.arange(len(trace)))
+                  trace.slot_indices())
     _check_column(path, "wallclock_start_us", columns["wallclock_start_us"],
                   trace.wallclock_starts())
-    _check_slots(path, trace)
     return trace
 
 
+def _check_events(path: str | Path, trace: EventTrace) -> None:
+    """Raise naming the line of the first event no FIFO station can
+    depart: a station below 0, a packet_id not above the station's
+    previous one, or a departure not after its arrival."""
+    station, packet = trace.station, trace.packet_id
+    _reject(path, station < 0,
+            lambda k: f"station {station[k]}, expected >= 0")
+    # a stable radix sort in the narrowest dtype keeps each station's order
+    order = np.argsort(station.astype(np.min_scalar_type(
+        station.max(initial=0))), kind="stable")
+    by_station, packets = station[order], packet[order]
+    repeat = np.zeros(station.size, dtype=bool)
+    repeat[order[1:][(by_station[1:] == by_station[:-1])
+                     & (packets[1:] <= packets[:-1])]] = True
+    _reject(path, repeat, lambda k: f"packet_id {packet[k]}, expected above "
+            f"{packet[:k][station[:k] == station[k]][-1]}, station "
+            f"{station[k]}'s previous packet_id")
+    _reject(path, trace.departure <= trace.arrival,
+            lambda k: f"departure_us {trace.departure[k]}, expected above "
+                      f"arrival_us {trace.arrival[k]}")
+
+
 def read_event_trace_csv(path: str | Path) -> EventTrace:
-    return EventTrace(**_read_rows(path, "station", "an event trace CSV",
-                                   [("station", "i4"), ("packet_id", "i8"),
-                                    ("arrival", "f8"), ("departure", "f8")]))
+    trace = EventTrace(**_read_rows(path, "station", "an event trace CSV",
+                                    [("station", "i4"), ("packet_id", "i8"),
+                                     ("arrival", "f8"),
+                                     ("departure", "f8")]))
+    _check_events(path, trace)
+    return trace
 
 
 def read_ownership_csv(path: str | Path) -> np.ndarray:
-    columns = _read_rows(path, "slot_index", "an ownership CSV",
-                         [("slot_index", "i8"), ("owner_id", "i4")])
-    _check_column(path, "slot_index", columns["slot_index"],
-                  np.arange(columns["slot_index"].size))
+    columns = _read_rows(path, "success_index", "an ownership CSV",
+                         [("success_index", "i8"), ("owner_id", "i4")])
+    _check_column(path, "success_index", columns["success_index"],
+                  np.arange(columns["success_index"].size))
     return columns["owner_id"]

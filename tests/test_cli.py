@@ -334,9 +334,9 @@ def test_exit_code_contract_under_fuzz(changes):
 
 
 # id: (command, trace option, index of the corrupted line); BASE_CONFIG's
-# run has 20,000 slots and 2,830 successes
+# run has 20,000 slots in 5,582 slot trace rows, and 2,830 successes
 CORRUPT_TRACES = {
-    "clock---slot-trace": ("clock", "--slot-trace", 9000),
+    "clock---slot-trace": ("clock", "--slot-trace", 4000),
     "fairness---ownership": ("fairness", "--ownership", 2000),
     "estimate---event-trace": ("estimate", "--event-trace", 2000),
 }
@@ -369,7 +369,16 @@ IMPOSSIBLE_SLOTS = {
     "duration-0": ("3,1000,success,2,0", "duration_us 0, expected >= 1"),
     "duration-negative": ("3,1000,success,2,-20",
                           "duration_us -20, expected >= 1"),
-    "idle-unequal": ("3,1000,idle,,30", "idle duration_us 30, expected 20"),
+    "idle-unequal": ("3,1000,idle,1,30", "idle duration_us 30, expected 20"),
+    "idle-count-0": ("3,1000,idle,0,20", "idle count 0, expected >= 1"),
+    "idle-count-negative": ("3,1000,idle,-2,20",
+                            "idle count -2, expected >= 1"),
+    "idle-not-count-times-sigma": ("3,1000,idle,2,60",
+                                   "idle duration_us 60, expected 40"),
+    "slot-index-not-count-sum": ("4,1000,success,2,500",
+                                 "slot_index 4, expected 3"),
+    "start-not-duration-sum": ("3,1020,success,2,500",
+                               "wallclock_start_us 1020, expected 1000"),
     "owner-negative": ("3,1000,success,-1,500", "success owner -1, "),
     "one-collider": ("3,1000,collision,3,480", "colliders 3, "),
     "descending-colliders": ("3,1000,collision,2;1,480", "colliders 2;1, "),
@@ -384,12 +393,88 @@ def test_impossible_slot_exit_2(row, reason, config_path, tmp_path, capsys):
     trace = tmp_path / "slot_trace.csv"
     trace.write_text("\r\n".join([
         "slot_index,wallclock_start_us,outcome,owner_or_colliders,"
-        "duration_us", "0,0,success,1,500", "1,500,idle,,20",
+        "duration_us", "0,0,success,1,500", "1,500,idle,1,20",
         "2,520,collision,0;2,480", row]) + "\r\n")
     assert main(["clock", "--config", str(config_path), "--out",
                  str(tmp_path / "out"), "--slot-trace", str(trace)]) == 2
     line = _single_error_line(capsys.readouterr().err)
     assert line.startswith(f"error: {trace}:5: {reason}")
+
+
+# id: (the last row of a slot trace, the value and range named); the file
+# is valid, but BASE_CONFIG has stations 0..2 only
+STATIONS_BEYOND_N = {
+    "owner-3": ("3,1000,success,3,500", "slot trace owner 3 is outside 0..2"),
+    "collider-7": ("3,1000,collision,0;7,480",
+                   "slot trace collider 7 is outside 0..2"),
+}
+
+
+@pytest.mark.parametrize("row, reason", STATIONS_BEYOND_N.values(),
+                         ids=STATIONS_BEYOND_N.keys())
+def test_clock_station_outside_config_exit_2(row, reason, config_path,
+                                             tmp_path, capsys):
+    trace = tmp_path / "slot_trace.csv"
+    trace.write_text("\r\n".join([
+        "slot_index,wallclock_start_us,outcome,owner_or_colliders,"
+        "duration_us", "0,0,success,1,500", "1,500,idle,1,20",
+        "2,520,collision,0;2,480", row]) + "\r\n")
+    assert main(["clock", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 2
+    assert _single_error_line(capsys.readouterr().err) == f"error: {reason}"
+
+
+EVENT_HEADER = "station,packet_id,arrival_us,departure_us"
+# id: (the last row of an event trace, the reason named after its line);
+# the rows before it are valid
+IMPOSSIBLE_EVENTS = {
+    "station-negative": ("-1,0,600,1200", "station -1, expected >= 0"),
+    "packet-id-repeated": ("0,1,600,1200",
+                           "packet_id 1, expected above 1, station 0's "
+                           "previous packet_id"),
+    "packet-id-falling": ("1,4,600,1200",
+                          "packet_id 4, expected above 5, station 1's "
+                          "previous packet_id"),
+    "departure-at-arrival": ("2,0,600,600",
+                             "departure_us 600.0, expected above "
+                             "arrival_us 600.0"),
+    "departure-before-arrival": ("2,0,600,599.5",
+                                 "departure_us 599.5, expected above "
+                                 "arrival_us 600.0"),
+}
+
+
+@pytest.mark.parametrize("row, reason", IMPOSSIBLE_EVENTS.values(),
+                         ids=IMPOSSIBLE_EVENTS.keys())
+def test_impossible_event_exit_2(row, reason, config_path, tmp_path, capsys):
+    trace = tmp_path / "event_trace.csv"
+    trace.write_text("\r\n".join([
+        EVENT_HEADER, "0,0,0,500", "1,5,100,1000", "0,1,200,1500",
+        row]) + "\r\n")
+    assert main(["estimate", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 2
+    line = _single_error_line(capsys.readouterr().err)
+    assert line == f"error: {trace}:5: {reason}"
+
+
+def test_estimate_ignores_stations_beyond_config(config_path, tmp_path):
+    # an external capture may hold more stations than the config's n; the
+    # estimate reads only its own station's events
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(out)]) == 0
+    trace = out / "event_trace.csv"
+    lines = trace.read_text().splitlines()
+    wider = tmp_path / "wider.csv"
+    wider.write_text("\n".join(lines[:2] + ["7,0,0,40", "9,0,5,50"]
+                               + lines[2:]) + "\n")
+    estimates = []
+    for path in (trace, wider):
+        run_out = tmp_path / path.stem
+        assert main(["estimate", "--config", str(config_path), "--out",
+                     str(run_out), "--event-trace", str(path)]) == 0
+        estimates.append((run_out / "estimate.json").read_bytes())
+    assert estimates[0] == estimates[1]
 
 
 def _single_error_line(err: str) -> str:

@@ -6,6 +6,10 @@ _BACKOFF_BUFFER doubles and every Poisson gap with its own numpy call.
 Philox streams are counter-based, so how the draws are chunked cannot
 change them, and both loops must give equal counters, success owners,
 slot traces and event traces for every config, seed and replication.
+
+The reference's slot trace has one row per slot, filled in as the
+run-length trace's builder once did (per_slot_fill); run's run-length
+trace must expand to it slot for slot.
 """
 
 from __future__ import annotations
@@ -24,12 +28,49 @@ from dcffair import (
     SimCounters,
     SimResult,
     SlotTrace,
+    read_slot_trace_csv,
     run,
+    write_slot_trace_csv,
 )
 from dcffair.sim import _MAX_CHUNK
-from dcffair.traceio import IDLE
+from dcffair.traceio import COLLISION, IDLE, SUCCESS
 
 _BACKOFF_BUFFER = 4096
+
+
+# --- reference: the per-slot trace the run-length one replaced ---
+
+def per_slot_fill(n_slots, idle_us, successes, owners, success_us,
+                  collisions, collision_us, colliders) -> SlotTrace:
+    """n_slots idle slots of idle_us each, except at the slot indices
+    successes (won by owners) and collisions: one row per slot."""
+    trace = SlotTrace.from_lists(np.zeros(n_slots), np.full(n_slots, -1),
+                                 np.full(n_slots, idle_us), colliders)
+    trace.codes[successes], trace.codes[collisions] = SUCCESS, COLLISION
+    trace.durations[successes] = success_us
+    trace.durations[collisions] = collision_us
+    trace.owners[successes] = owners
+    return trace
+
+
+def expand(trace: SlotTrace) -> SlotTrace:
+    """One row per slot: each row repeated count times, with its duration
+    shared equally among its slots."""
+    return SlotTrace.from_lists(
+        np.repeat(trace.codes, trace.counts),
+        np.repeat(trace.owners, trace.counts),
+        np.repeat(trace.durations // trace.counts, trace.counts),
+        trace.colliders)
+
+
+def assert_run_length(trace: SlotTrace, sigma: int) -> None:
+    """Transmissions count one slot, idle runs are maximal and each lasts
+    its count of idle slots."""
+    idle = trace.codes == IDLE
+    assert np.all(trace.counts[~idle] == 1)
+    assert np.all(trace.counts[idle] >= 1)
+    assert not np.any(idle[1:] & idle[:-1])
+    assert np.array_equal(trace.durations[idle], trace.counts[idle] * sigma)
 
 
 # --- reference: the loop sim.run replaced ---
@@ -271,7 +312,7 @@ def _ref_run(config: SimConfig, *, replication: int = 0,
         wallclock_us=wall,
     )
     d_succ = np.array([p.d_succ for p in params], dtype=np.int64)
-    slots = (SlotTrace.from_transmissions(
+    slots = (per_slot_fill(
         slot_idx, sigma, success_slots_rec, success_owners,
         d_succ[success_owners], collision_slots_rec, collision_us,
         colliders_rec) if record_slots else None)
@@ -342,8 +383,11 @@ def assert_same_run(got: SimResult, want: SimResult) -> None:
     assert np.array_equal(got.success_owners, want.success_owners)
     assert (got.slots is None) == (want.slots is None)
     if want.slots is not None:
+        assert_run_length(got.slots,
+                          got.config.station_params()[0].slot_sigma)
+        slots = expand(got.slots)
         for name in ("codes", "owners", "durations"):
-            g, w = getattr(got.slots, name), getattr(want.slots, name)
+            g, w = getattr(slots, name), getattr(want.slots, name)
             assert g.dtype == w.dtype and np.array_equal(g, w), name
         assert got.slots.colliders == want.slots.colliders
     assert (got.events is None) == (want.events is None)
@@ -375,6 +419,65 @@ def test_cases_cover_what_they_claim():
     assert hetero.drops.sum() > 0
     long_run = _ref_run(CASES["long-n1"][0]).counters
     assert long_run.attempts[0] > 3 * _BACKOFF_BUFFER
+
+
+TRACED = {name: case for name, case in CASES.items()
+          if case[0].record_slot_trace}
+
+
+@pytest.mark.parametrize("case", TRACED.values(), ids=TRACED.keys())
+def test_written_trace_reads_back(case, tmp_path):
+    cfg, kwargs = case
+    res = run(cfg, replication=1, **kwargs)
+    path = tmp_path / "slot_trace.csv"
+    write_slot_trace_csv(res.slots, path)
+    back = read_slot_trace_csv(path)
+    for name in ("codes", "owners", "durations", "counts"):
+        g, w = getattr(back, name), getattr(res.slots, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert back.colliders == res.slots.colliders
+    assert int(back.counts.sum()) == res.counters.n_slots
+    assert int(back.durations.sum()) == res.counters.wallclock_us
+
+
+# runs whose run-length traces begin or end at the edges of the format,
+# each with what makes it an edge
+EDGES = {
+    "transmission-at-slot-0": (
+        SimConfig(n=3, params=MacParams(cw_min=2, cw_max=8),
+                  horizon_slots=2_000, seed=1), {},
+        lambda slots, c: slots.codes[0] != IDLE),
+    "ends-idle": (
+        SimConfig(n=3, horizon_slots=2_000, seed=3), {},
+        lambda slots, c: slots.codes[-1] == IDLE),
+    "horizon-us-cuts-an-idle-run": (
+        SimConfig(n=2, params=MacParams(cw_min=512), horizon_us=1_234_567,
+                  seed=3), {},
+        lambda slots, c: slots.codes[-1] == IDLE
+        and c.wallclock_us >= 1_234_567),
+    "stop-after-tagged": (
+        SimConfig(n=10, params=VALIDATION, horizon_slots=10 ** 9, seed=3),
+        {"stop_after_tagged": (3, 100)},
+        lambda slots, c: slots.codes[-1] == SUCCESS
+        and slots.owners[-1] == 3 and c.successes[3] == 100),
+    "light-load-poisson": (
+        SimConfig(n=3, mode="poisson", arrival_rate_pps=5.0,
+                  horizon_us=20_000_000, seed=4), {},
+        lambda slots, c: c.idle_slots > 100 * (c.success_slots
+                                               + c.collision_slots)),
+    "zero-slots": (
+        SimConfig(n=2, mode="poisson", arrival_rate_pps=0.0,
+                  horizon_slots=100, seed=5), {},
+        lambda slots, c: c.n_slots == 0 and len(slots) == 0),
+}
+
+
+@pytest.mark.parametrize("cfg, kwargs, edge", EDGES.values(),
+                         ids=EDGES.keys())
+def test_run_length_edges_expand_to_per_slot_fill(cfg, kwargs, edge):
+    got, want = run(cfg, **kwargs), _ref_run(cfg, **kwargs)
+    assert edge(got.slots, got.counters)
+    assert_same_run(got, want)
 
 
 # --- a seeded sweep of random set-ups ---

@@ -1,4 +1,5 @@
 import csv
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from dcffair import (
     write_slot_trace_csv,
 )
 from dcffair import traceio
+from test_sim_reference import expand, per_slot_fill
 
 
 def test_slot_trace_roundtrip(tmp_path):
@@ -39,20 +41,49 @@ def test_slot_trace_roundtrip(tmp_path):
     assert back.colliders == [(1, 3)]
 
 
-def test_from_transmissions_fills_idle_slots():
-    trace = SlotTrace.from_transmissions(
-        7, 20, successes=[1, 4], owners=[2, 0], success_us=[500, 510],
-        collisions=[2, 6], collision_us=[480, 490],
-        colliders=[(0, 1), (1, 2, 3)])
-    want = SlotTrace.from_lists(
-        codes=[0, 1, 2, 0, 1, 0, 2], owners=[-1, 2, -1, -1, 0, -1, -1],
-        durations=[20, 500, 480, 20, 510, 20, 490],
-        colliders=[(0, 1), (1, 2, 3)])
+TRANSMISSIONS = {
+    # n_slots, successes, owners, collisions, colliders
+    "idle-runs-between-and-after": (
+        12, [2, 3], [2, 0], [7], [(0, 1)]),
+    "transmission-at-slot-0": (5, [0], [1], [4], [(1, 2, 3)]),
+    "no-idle-slot": (3, [0, 2], [1, 1], [1], [(0, 1)]),
+    "idle-only": (4, [], [], [], []),
+    "zero-slots": (0, [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("n_slots, successes, owners, collisions, colliders",
+                         TRANSMISSIONS.values(), ids=TRANSMISSIONS.keys())
+def test_from_transmissions_expands_to_per_slot_fill(
+        n_slots, successes, owners, collisions, colliders):
+    success_us = np.arange(500, 500 + len(successes))
+    collision_us = np.arange(480, 480 + len(collisions))
+    args = (n_slots, 20, successes, owners, success_us, collisions,
+            collision_us, colliders)
+    trace = SlotTrace.from_transmissions(*args)
+    want = per_slot_fill(*args)
+    got = expand(trace)
     for name in ("codes", "owners", "durations"):
-        got = getattr(trace, name)
-        assert got.dtype == getattr(want, name).dtype
-        assert np.array_equal(got, getattr(want, name))
+        assert getattr(trace, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert trace.counts.dtype == np.int64
     assert trace.colliders == want.colliders
+    idle = trace.codes == traceio.IDLE
+    assert not np.any(idle[1:] & idle[:-1])
+    assert np.all(trace.counts[~idle] == 1)
+
+
+def test_from_transmissions_rows():
+    trace = SlotTrace.from_transmissions(
+        12, 20, successes=[2, 3], owners=[2, 0], success_us=[500, 510],
+        collisions=[7], collision_us=[480], colliders=[(0, 1)])
+    assert trace.codes.tolist() == [0, 1, 1, 0, 2, 0]
+    assert trace.owners.tolist() == [-1, 2, 0, -1, -1, -1]
+    assert trace.counts.tolist() == [2, 1, 1, 3, 1, 4]
+    assert trace.durations.tolist() == [40, 500, 510, 60, 480, 80]
+    assert trace.slot_indices().tolist() == [0, 2, 3, 4, 7, 8]
+    assert trace.wallclock_starts().tolist() == [0, 40, 540, 1050, 1110,
+                                                 1590]
 
 
 def test_slot_trace_wallclock_prefix_sum(tmp_path):
@@ -118,14 +149,16 @@ def _ref_fmt_us(value: float) -> str:
 
 def _ref_records(trace):
     starts = trace.wallclock_starts()
+    slots = accumulate(trace.counts.tolist(), initial=0)
     coll_iter = iter(trace.colliders)
     for i in range(len(trace)):
         code = int(trace.codes[i])
         yield dict(
-            slot_index=i,
+            slot_index=next(slots),
             wallclock_start=int(starts[i]),
             outcome=("idle", "success", "collision")[code],
             owner=int(trace.owners[i]) if code == 1 else None,
+            count=int(trace.counts[i]),
             colliders=next(coll_iter) if code == 2 else (),
             duration=int(trace.durations[i]),
         )
@@ -142,7 +175,7 @@ def _ref_write_slot_trace_csv(trace, path):
             elif rec["outcome"] == "collision":
                 who = ";".join(str(s) for s in rec["colliders"])
             else:
-                who = ""
+                who = str(rec["count"])
             writer.writerow([rec["slot_index"], rec["wallclock_start"],
                              rec["outcome"], who, rec["duration"]])
 
@@ -163,7 +196,7 @@ def _ref_write_event_trace_csv(trace, path):
 def _ref_write_ownership_csv(owners, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["slot_index", "owner_id"])
+        writer.writerow(["success_index", "owner_id"])
         for i, owner in enumerate(owners):
             writer.writerow([i, int(owner)])
 
@@ -198,10 +231,9 @@ def _assert_files_identical(write, ref_write, data, tmp_path):
 
 
 def _assert_same_slots(back, trace):
-    assert back.codes.dtype == trace.codes.dtype
-    assert np.array_equal(back.codes, trace.codes)
-    assert np.array_equal(back.owners, trace.owners)
-    assert np.array_equal(back.durations, trace.durations)
+    for name in ("codes", "owners", "durations", "counts"):
+        got, want = getattr(back, name), getattr(trace, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert back.colliders == trace.colliders
 
 
@@ -245,10 +277,12 @@ def test_event_values_beyond_one_chunk(tmp_path, rng):
     arrival = rng.uniform(0, 1e7, size)
     arrival[::3] = np.floor(arrival[::3])
     arrival[1::3] = np.round(arrival[1::3], 2)
-    arrival[:6] = [0.0, -0.0, 1e300, 2.0 ** 60, 1e-7, np.inf]
+    departure = arrival + rng.integers(1, 10**6, size)
+    # edge values, each departure after its arrival as the reader requires
+    arrival[:6] = [0.0, -0.0, 1e300, 2.0 ** 60, 1e-7, -np.inf]
+    departure[:6] = [1.0, 1e-7, np.inf, 2.0 ** 61, 1e-6, 0.0]
     trace = EventTrace.from_lists(rng.integers(0, 50, size),
-                                  np.arange(size), arrival,
-                                  arrival + rng.integers(1, 10**6, size))
+                                  np.arange(size), arrival, departure)
     path = _assert_files_identical(write_event_trace_csv,
                                    _ref_write_event_trace_csv, trace,
                                    tmp_path)
@@ -319,20 +353,24 @@ def test_event_formatter_matches_reference(chunk, rows, scratch):
                                 _ref_write_event_trace_csv, trace, scratch)
 
 
+colliders = st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=50,
+                     unique=True).map(lambda c: tuple(sorted(c)))
+
+
 @PROPERTY
 @given(chunk=small_chunks, slots=st.lists(st.one_of(
-    st.tuples(st.just(0), st.just(-1), ints64, st.just(())),
+    # the counts sum to at most 12 * 10^17, so slot indices fit int64
+    st.tuples(st.just(0), st.just(-1), ints64, st.just(()),
+              st.sampled_from([1, 10 ** 17]) | st.integers(1, 10 ** 17)),
     st.tuples(st.just(1), st.integers(-2 ** 31, 2 ** 31 - 1), ints64,
-              st.just(())),
-    st.tuples(st.just(2), st.just(-1), ints64,
-              st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=50,
-                       unique=True).map(lambda c: tuple(sorted(c))))),
+              st.just(()), st.just(1)),
+    st.tuples(st.just(2), st.just(-1), ints64, colliders, st.just(1))),
     max_size=12))
 def test_slot_formatter_matches_reference(chunk, slots, scratch):
-    codes, owners, durations, colliders = zip(*slots) if slots else \
-        ([], [], [], [])
+    codes, owners, durations, colliders, counts = zip(*slots) if slots \
+        else ([], [], [], [], [])
     trace = SlotTrace.from_lists(codes, owners, durations,
-                                 [c for c in colliders if c])
+                                 [c for c in colliders if c], counts)
     with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
         _assert_files_identical(write_slot_trace_csv,
                                 _ref_write_slot_trace_csv, trace, scratch)
@@ -365,11 +403,40 @@ def test_write_csv_formatter_matches_csv_writer(chunk, rows, scratch):
     assert path.read_bytes() == ref.read_bytes()
 
 
+@PROPERTY
+@given(chunk=small_chunks, sigma=st.integers(1, 50), rows=st.lists(st.one_of(
+    st.tuples(st.just(0), st.just(-1), st.integers(1, 10 ** 9), st.just(())),
+    st.tuples(st.just(1), st.integers(0, 2 ** 31 - 1),
+              st.integers(1, 10 ** 6), st.just(())),
+    st.tuples(st.just(2), st.just(-1), st.integers(1, 10 ** 6), colliders)),
+    max_size=12))
+def test_run_length_trace_round_trip(chunk, sigma, rows, scratch):
+    # adjacent idle runs merged, so each idle run is maximal
+    merged = []
+    for code, owner, size, members in rows:
+        if code == 0 and merged and merged[-1][0] == 0:
+            merged[-1][2] += size
+        else:
+            merged.append([code, owner, size, members])
+    codes, owners, sizes, members = zip(*merged) if merged \
+        else ([], [], [], [])
+    codes, sizes = np.array(codes, dtype=np.int64), np.array(sizes)
+    idle = codes == 0
+    trace = SlotTrace.from_lists(
+        codes, owners, np.where(idle, sizes * sigma, sizes),
+        [m for m in members if m], np.where(idle, sizes, 1))
+    path = scratch / "round_trip.csv"
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        write_slot_trace_csv(trace, path)
+        _assert_same_slots(read_slot_trace_csv(path), trace)
+
+
 # --- reader error contract ---
 
 def _long_slot_file(tmp_path):
-    res = run(SimConfig(n=3, horizon_slots=traceio._CHUNK_ROWS + 500,
+    res = run(SimConfig(n=3, horizon_slots=4 * traceio._CHUNK_ROWS,
                         seed=9))
+    assert len(res.slots) > traceio._CHUNK_ROWS + 500
     path = tmp_path / "slots.csv"
     write_slot_trace_csv(res.slots, path)
     return res.slots, path
@@ -379,7 +446,9 @@ def test_bad_row_in_second_chunk_reports_its_line(tmp_path):
     _, path = _long_slot_file(tmp_path)
     lines = path.read_bytes().split(b"\r\n")
     bad = traceio._CHUNK_ROWS + 123  # 0-based, so file line bad + 1
-    lines[bad] = lines[bad].replace(b"idle", b"idel")
+    fields = lines[bad].split(b",")
+    fields[2] = b"idel"  # the outcome
+    lines[bad] = b",".join(fields)
     path.write_bytes(b"\r\n".join(lines))
     with pytest.raises(TraceFormatError) as err:
         read_slot_trace_csv(path)
@@ -389,10 +458,10 @@ def test_bad_row_in_second_chunk_reports_its_line(tmp_path):
 SLOT_HEADER = "slot_index,wallclock_start_us,outcome,owner_or_colliders," \
     "duration_us"
 EVENT_HEADER = "station,packet_id,arrival_us,departure_us"
-OWNER_HEADER = "slot_index,owner_id"
+OWNER_HEADER = "success_index,owner_id"
 BAD_ROWS = {
     "slot-short": (read_slot_trace_csv, SLOT_HEADER, "1,20,idle,"),
-    "slot-extra": (read_slot_trace_csv, SLOT_HEADER, "1,20,idle,,20,7"),
+    "slot-extra": (read_slot_trace_csv, SLOT_HEADER, "1,20,idle,1,20,7"),
     "slot-unknown-outcome": (read_slot_trace_csv, SLOT_HEADER,
                              "1,20,busy,,20"),
     "slot-numeric-outcome": (read_slot_trace_csv, SLOT_HEADER,
@@ -401,12 +470,15 @@ BAD_ROWS = {
                          "1,20,success,1.5,500"),
     "slot-empty-owner": (read_slot_trace_csv, SLOT_HEADER,
                          "1,20,success,,500"),
-    "slot-idle-with-owner": (read_slot_trace_csv, SLOT_HEADER,
-                             "1,20,idle,2,20"),
+    # a per-slot idle row, which names no count
+    "slot-idle-without-count": (read_slot_trace_csv, SLOT_HEADER,
+                                "1,500,idle,,20"),
+    "slot-float-count": (read_slot_trace_csv, SLOT_HEADER,
+                         "1,500,idle,1.5,30"),
     "slot-bad-collider": (read_slot_trace_csv, SLOT_HEADER,
                           "1,20,collision,0;x,480"),
     "slot-float-duration": (read_slot_trace_csv, SLOT_HEADER,
-                            "1,20,idle,,20.5"),
+                            "1,20,idle,1,20.5"),
     "slot-blank": (read_slot_trace_csv, SLOT_HEADER, ""),
     "event-short": (read_event_trace_csv, EVENT_HEADER, "0,1,2.5"),
     "event-extra": (read_event_trace_csv, EVENT_HEADER, "0,1,2.5,3,4"),
@@ -437,7 +509,7 @@ def test_bad_rows_rejected_with_line(reader, header, row, tmp_path):
 
 def test_non_utf8_byte_is_a_bad_row(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"slot_index,owner_id\r\n0,2\r\n1,\xff\r\n")
+    path.write_bytes(b"success_index,owner_id\r\n0,2\r\n1,\xff\r\n")
     with pytest.raises(TraceFormatError) as err:
         read_ownership_csv(path)
     assert f"{path}:3: bad row" in str(err.value)
@@ -465,23 +537,35 @@ def test_lf_files_read_as_crlf(tmp_path):
 SEQUENCE_FAULTS = {
     # (reader, header, rows, line and column of the first bad row)
     "slot-reordered": (read_slot_trace_csv, SLOT_HEADER,
-                       ["0,0,idle,,20", "2,20,idle,,20", "1,40,idle,,20"],
+                       ["0,0,success,1,500", "2,500,idle,1,20",
+                        "1,520,success,0,500"],
                        "3: slot_index 2, expected 1"),
     "slot-not-from-zero": (read_slot_trace_csv, SLOT_HEADER,
-                           ["5,0,idle,,20", "0,20,idle,,20"],
+                           ["5,0,idle,1,20", "1,20,success,0,500"],
                            "2: slot_index 5, expected 0"),
+    "slot-index-not-count-sum": (read_slot_trace_csv, SLOT_HEADER,
+                                 ["0,0,idle,3,60", "1,60,success,0,500"],
+                                 "3: slot_index 1, expected 3"),
     "slot-edited-start": (read_slot_trace_csv, SLOT_HEADER,
-                          ["0,0,success,1,500", "1,500,idle,,20",
-                           "2,999,idle,,20"],
+                          ["0,0,success,1,500", "1,500,idle,1,20",
+                           "2,999,success,0,500"],
                           "4: wallclock_start_us 999, expected 520"),
     "slot-first-start": (read_slot_trace_csv, SLOT_HEADER,
-                         ["0,20,idle,,20"],
+                         ["0,20,idle,1,20"],
                          "2: wallclock_start_us 20, expected 0"),
+    "slot-idle-after-idle": (read_slot_trace_csv, SLOT_HEADER,
+                             ["0,0,idle,1,20", "1,20,idle,2,40"],
+                             "3: idle run right after an idle run, "
+                             "expected one row per maximal idle run"),
+    "slot-idle-not-a-multiple": (read_slot_trace_csv, SLOT_HEADER,
+                                 ["0,0,success,1,500", "1,500,idle,3,50"],
+                                 "3: idle duration_us 50, expected 48, its "
+                                 "count 3 times the idle slot of 16 us"),
     "owner-gap": (read_ownership_csv, OWNER_HEADER,
                   ["0,1", "1,0", "3,1", "4,0"],
-                  "4: slot_index 3, expected 2"),
+                  "4: success_index 3, expected 2"),
     "owner-reordered": (read_ownership_csv, OWNER_HEADER,
-                        ["1,1", "0,0"], "2: slot_index 1, expected 0"),
+                        ["1,1", "0,0"], "2: success_index 1, expected 0"),
 }
 
 
