@@ -35,12 +35,17 @@ _L_CAP = 1_000_000
 # exp() underflows to 0.0 below -745.2; _log_term errs by <= 1.5e-8 for k, l
 # within the caps (against 50-digit mpmath at 3,000 random points)
 _ZERO_LOG = -800.0
-_MASS_REACH = 40.0  # sds (+ 1) around the mean kept by _window_deviation
+_MASS_REACH = 40.0  # sds (+ 1) around the mean kept by _bands
 # short_term_horizon asks conditional_pmf whenever the fast deviation
 # probability is this close to eps: 44x the largest gap between the two,
 # 2.2e-9, over l = 2..1e6, beta = 0.01..0.99, delta = 0.001..2 and
 # trunc = 1e-9..1e-15 (2,040 points)
 _DEVIATION_BAND = 1e-7
+# short_term_horizon's block scan: the first block's l count, doubled per
+# block, and the most k values a block's (l, k) matrix holds; one l whose
+# band alone is wider makes a block of its own
+_FIRST_BLOCK = 64
+_BLOCK_TERMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -272,28 +277,66 @@ def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,
     )
 
 
+def _bands(beta: float, delta: float,
+           l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, and first and last k, of the band that _deviations sums for
+    each l: the k within delta of the mean and within r = _MASS_REACH
+    (sd + 1) of it, widened by one. An l where conditional_pmf could reach
+    its _K_CAP limit gets the empty band hi = lo - 1."""
+    mean = l * beta / (1.0 - beta)
+    reach = _MASS_REACH * (np.sqrt(l * beta) / (1.0 - beta) + 1.0)
+    lo = np.maximum(
+        0.0, np.floor(np.maximum(mean * (1.0 - delta), mean - reach)) - 1.0)
+    hi = np.ceil(np.minimum(mean * (1.0 + delta), mean + reach)) + 1.0
+    return mean, lo, np.where(mean + 2.0 * reach < _K_CAP, hi, lo - 1.0)
+
+
+def _deviations(beta: float, delta: float, ls: np.ndarray,
+                trunc: float) -> np.ndarray:
+    """short_term_horizon's deviation probabilities from a vectorised log
+    pmf, one per l in ls, nan where conditional_pmf must decide.
+
+    Sums p(k) over each l's band (_bands); beyond r lies < 1e-23 of the
+    mass for any l >= 2, beyond 2r < 1e-47. Row by row of a padded (l, k)
+    matrix, log p(k) is one cumulative sum: a log-domain seed at the band's
+    first k, then the logs of p(k) / p(k-1) = beta (k + l - 1) / k.
+    """
+    l = np.asarray(ls, dtype=float)
+    fast = np.full(l.size, np.nan)
+    mean, lo, hi = _bands(beta, delta, l)
+    rows = np.flatnonzero(hi >= lo) if trunc >= 1e-40 else []
+    if not len(rows):
+        return fast
+    l, mean, lo, hi = l[rows], mean[rows], lo[rows], hi[rows]
+    j = np.arange(int(np.max(hi - lo)) + 1)
+    k = lo[:, None] + j
+    log_p = np.empty_like(k)
+    log_p[:, 0] = [math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b)
+                   + b * math.log1p(-beta) + a * math.log(beta)
+                   for a, b in zip(lo.astype(np.int64).tolist(),
+                                   l.astype(np.int64).tolist())]
+    ratio = log_p[:, 1:]
+    np.add(k[:, 1:], (l - 1.0)[:, None], out=ratio)
+    ratio *= beta
+    ratio /= k[:, 1:]
+    np.log(ratio, out=ratio)
+    np.cumsum(log_p, axis=1, out=log_p)
+    np.exp(log_p, out=log_p)  # finite also past hi, where p(k) falls
+    # p(k) times 1 inside delta of the mean, times 0 outside it and in the
+    # row's padding past hi
+    k -= mean[:, None]
+    inside = np.abs(k, out=k) <= (delta * mean)[:, None]
+    inside &= j <= (hi - lo)[:, None]
+    log_p *= inside
+    fast[rows] = 1.0 - log_p.sum(axis=1)
+    return fast
+
+
 def _window_deviation(beta: float, delta: float, l: int,
                       trunc: float) -> float | None:
-    """short_term_horizon's deviation probability from a vectorised log pmf.
-
-    Sums p(k) for the k in the band within r = _MASS_REACH (sd + 1) of the
-    mean, where p(k) = p(k-1) beta (k + l - 1) / k is one cumulative sum
-    of logs; beyond r lies < 1e-23 of the mass for any l >= 2, beyond 2r
-    < 1e-47. None where conditional_pmf could reach its _K_CAP limit.
-    """
-    mean = l * beta / (1.0 - beta)
-    reach = _MASS_REACH * (math.sqrt(l * beta) / (1.0 - beta) + 1.0)
-    if trunc < 1e-40 or mean + 2.0 * reach >= _K_CAP:
-        return None
-    lo = max(0, math.floor(max(mean * (1.0 - delta), mean - reach)) - 1)
-    hi = math.ceil(min(mean * (1.0 + delta), mean + reach)) + 1
-    k = np.arange(lo, hi + 1, dtype=float)
-    log_p = np.cumsum(np.concatenate((
-        [math.lgamma(lo + l) - math.lgamma(lo + 1) - math.lgamma(l)
-         + l * math.log1p(-beta) + lo * math.log(beta)],
-        np.log(beta * (k[1:] + (l - 1)) / k[1:]))))
-    inside = np.abs(k - mean) <= delta * mean
-    return 1.0 - float(np.sum(np.exp(log_p[inside])))
+    """_deviations at one l, None where conditional_pmf must decide."""
+    fast = float(_deviations(beta, delta, np.array([l]), trunc)[0])
+    return None if math.isnan(fast) else fast
 
 
 def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
@@ -304,8 +347,11 @@ def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
     with a bisection refinement, which is exact as long as the deviation
     probability is eventually decreasing in l (it is, by concentration of
     the negative binomial). Each step compares eps with the deviation
-    probability of the truncated conditional_pmf, taken from
-    _window_deviation unless that lies within _DEVIATION_BAND of eps.
+    probability of the truncated conditional_pmf, taken from _deviations
+    unless that lies within _DEVIATION_BAND of eps. Up to l = 4096 the
+    scan takes _deviations for blocks of consecutive l that double in
+    length, each held to _BLOCK_TERMS k values, and walks each block in l
+    order.
     """
     q = np.asarray(q, dtype=float)
     if not (is_int(tagged) and is_int(contender) and tagged != contender
@@ -331,16 +377,31 @@ def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,
         return 1
     beta = q_c / (q_t + q_c)
 
-    def meets(l: int) -> bool:
-        fast = _window_deviation(beta, delta, l, trunc)
-        if fast is None or abs(fast - eps) <= _DEVIATION_BAND:
-            return deviation_prob(l) <= eps
-        return fast <= eps
+    def first_meeting(ls: np.ndarray) -> int | None:
+        fast = _deviations(beta, delta, ls, trunc)
+        exact = np.isnan(fast) | (np.abs(fast - eps) <= _DEVIATION_BAND)
+        for i in np.flatnonzero(exact | (fast <= eps)):
+            if not exact[i] or deviation_prob(int(ls[i])) <= eps:
+                return int(ls[i])
+        return None
 
-    linear_cap = 4096
-    for l in range(2, min(linear_cap, _L_CAP) + 1):
-        if meets(l):
-            return l
+    linear_cap = min(4096, _L_CAP)
+    start, rows = 2, _FIRST_BLOCK
+    while start <= linear_cap:
+        ls = np.arange(start, min(start + rows, linear_cap + 1))
+        _, lo, hi = _bands(beta, delta, ls.astype(float))
+        terms = (np.maximum.accumulate(np.maximum(hi - lo + 1.0, 0.0))
+                 * np.arange(1, ls.size + 1))
+        ls = ls[:max(1, int(np.count_nonzero(terms <= _BLOCK_TERMS)))]
+        found = first_meeting(ls)
+        if found is not None:
+            return found
+        start += ls.size
+        rows = 2 * ls.size
+
+    def meets(l: int) -> bool:
+        return first_meeting(np.array([l])) is not None
+
     lo = linear_cap  # known failing
     hi = linear_cap
     while True:

@@ -18,11 +18,12 @@ yields the saturation operating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SolverError, is_int
+from .errors import ConfigError, SolverError, is_finite, is_int
 
 #: Classic DSSS-flavored timing profile, microseconds. Configuration data,
 #: not constants of the model.
@@ -131,6 +132,41 @@ class SlotDistribution:
                 + self.p_coll * self.d_coll)
 
 
+def _stages(params: MacParams) -> tuple[tuple[float, ...], tuple[float, ...],
+                                        float, float]:
+    """A station's chain for _chain: the half windows (W_i + 1) / 2 of its
+    retry_limit or max_backoff_stage stages, a live flag 1.0 per stage,
+    1.0 if it has no retry limit (0.0 if it has), and the half window of
+    stage m."""
+    m = params.max_backoff_stage
+    half = tuple((params.window(i) + 1) / 2.0
+                 for i in range(params.retry_limit or m))
+    return (half, (1.0,) * len(half), float(params.retry_limit == 0),
+            (params.window(m) + 1) / 2.0)
+
+
+def _chain(p, half, live, unlimited, tail_half):
+    """Renewal-reward attempt probability of backoff chains at collision p.
+
+    Stage i is reached with weight p^i and costs half[i] slots on average,
+    the final slot being the attempt. live[i] is 1.0 while stage i is one of
+    a station's stages and 0.0 past its last; the 0/1 products leave a
+    finished station's sums and weight exactly as they were (x * 1.0 = x,
+    x + 0.0 = x). Without a retry limit (unlimited 1.0) the window is
+    constant beyond stage m, so the tail of the geometric stage chain sums
+    in closed form at tail_half slots. The arguments are floats for one
+    station, or arrays over stations (half[i] and live[i] one per stage).
+    """
+    num = den = 0.0
+    weight = 1.0
+    for half_i, live_i in zip(half, live):
+        num = num + weight * live_i
+        den = den + weight * half_i * live_i
+        weight = weight * (p * live_i + (1.0 - live_i))
+    tail = weight / (1.0 - p) * unlimited  # sum_{i>=m} p^i
+    return (num + tail) / (den + tail * tail_half)
+
+
 def chain_attempt_probability(p: float, params: MacParams) -> float:
     """Per-slot attempt probability of the backoff chain at collision prob p.
 
@@ -139,23 +175,12 @@ def chain_attempt_probability(p: float, params: MacParams) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
-    m = params.max_backoff_stage
-    num = 0.0
-    den = 0.0
-    weight = 1.0
-    for i in range(params.retry_limit or m):
-        s_i = (params.window(i) + 1) / 2.0
-        num += weight
-        den += weight * s_i
-        weight *= p
-    if params.retry_limit == 0:
-        # No retry limit: window is constant beyond stage m, so the tail of
-        # the geometric stage chain sums in closed form.
-        tail = weight / (1.0 - p)  # sum_{i>=m} p^i
-        s_m = (params.window(m) + 1) / 2.0
-        num += tail
-        den += tail * s_m
-    return num / den
+    return _chain(p, *_stages(params))
+
+
+def _check_tol(tol: float) -> None:
+    if not (is_finite(tol) and tol > 0):
+        raise ConfigError(f"tolerance must be finite and > 0, got {tol!r}")
 
 
 def solve_attempt_fixed_point(params: MacParams, n: int,
@@ -168,13 +193,14 @@ def solve_attempt_fixed_point(params: MacParams, n: int,
     """
     if n < 1:
         raise ConfigError(f"station count must be >= 1, got {n}")
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
+    _check_tol(tol)
+
+    stages = _stages(params)
 
     def residual(tau: float) -> float:
         # clamp guards the bracket endpoint tau -> 1 where p rounds to 1.0
         p = min(1.0 - (1.0 - tau) ** (n - 1), 1.0 - 1e-15)
-        return tau - chain_attempt_probability(p, params)
+        return tau - _chain(p, *stages)
 
     lo, hi = 1e-9, 1.0 - 1e-9
     g_lo, g_hi = residual(lo), residual(hi)
@@ -211,21 +237,36 @@ def solve_attempt_fixed_point_vector(
     """Solve the per-station fixed point for heterogeneous backoff configs.
 
     Damped iteration tau <- (1-d) tau + d chain(p(tau)) with
-    p_i = 1 - prod_{j != i} (1 - tau_j).
+    p_i = 1 - prod_{j != i} (1 - tau_j). Each step evaluates every
+    station's chain at once: _chain runs on arrays over stations, with the
+    stage tables padded to the deepest station's stage count.
     """
     n = len(params)
     if n < 1:
         raise ConfigError("at least one station required")
-    taus = np.array([chain_attempt_probability(0.0, pr) for pr in params])
+    _check_tol(tol)
+    if not (is_finite(damping) and 0.0 < damping <= 1.0):
+        raise ConfigError(f"damping must be in (0, 1], got {damping!r}")
+    if not (is_int(max_iterations) and max_iterations >= 1):
+        raise ConfigError(
+            f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    halves, lives, unlimited, tail_half = zip(*map(_stages, params))
+    # one row per stage and a column per station, 0.0 past its last stage
+    half, live = (np.array(list(zip_longest(*rows, fillvalue=0.0)))
+                  for rows in (halves, lives))
+    unlimited, tail_half = np.array(unlimited), np.array(tail_half)
+    taus = _chain(np.zeros(n), half, live, unlimited, tail_half)
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
         one_minus = 1.0 - taus
         prod_all = np.prod(one_minus)
         p = 1.0 - prod_all / one_minus  # p_i over prod_{j != i}
-        target = np.array(
-            [chain_attempt_probability(min(p[i], 1.0 - 1e-15), params[i])
-             for i in range(n)]
-        )
+        clamped = np.minimum(p, 1.0 - 1e-15)
+        outside = ~((clamped >= 0.0) & (clamped < 1.0))
+        if outside.any():
+            bad = float(clamped[np.argmax(outside)])
+            raise ValueError(f"p must be in [0, 1), got {bad}")
+        target = _chain(clamped, half, live, unlimited, tail_half)
         residual = float(np.max(np.abs(taus - target)))
         if residual <= tol:
             return VectorAttemptSolution(

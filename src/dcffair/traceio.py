@@ -276,11 +276,18 @@ def write_ownership_csv(owners: Sequence[int] | np.ndarray,
 def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
     """Rows of a chunk of lines, or None if a line is not one row."""
     try:
+        text = prepare("".join(lines))
+        # no field holds non-ASCII text, and np.loadtxt misreads some of it
+        # from one process to the next: U+AB694 in an integer field parses
+        # as 702052 in one, raises in another and crashes a third
+        if not text.isascii():
+            return None
+        stream = io.StringIO(text)
+        del text  # the stream holds its own copy while it is parsed
         with warnings.catch_warnings():  # a blank chunk has no data
             warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(io.StringIO(prepare("".join(lines))),
-                              dtype=dtype, delimiter=",", comments=None,
-                              ndmin=1)
+            rows = np.loadtxt(stream, dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
     except ValueError:
         return None
     return rows if rows.size == len(lines) else None

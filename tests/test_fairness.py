@@ -122,7 +122,7 @@ class TestConditionalPmf:
         k = np.arange(cpmf.pmf.size, dtype=float)
         assert float(np.dot(k, cpmf.pmf)) == pytest.approx(mean, rel=1e-3)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         q_t=st.floats(0.05, 0.5),
         share=st.floats(0.0, 1.0),
@@ -174,7 +174,7 @@ class TestJain:
         with pytest.raises(ValueError):
             jain_index([math.nan, 1.0])
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, derandomize=True, deadline=None)
     @given(
         x=st.lists(st.floats(0.001, 1e6), min_size=1, max_size=12),
         exp=st.integers(-30, 30),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,34 @@ def test_throughput_formula_arithmetic():
     expected_slot = 0.25 * 20 + 0.5 * 530 + 0.25 * 490
     s = saturation_throughput(dist, 8000)
     assert s[0] == pytest.approx(0.25 * 8000 / expected_slot * 1e6)
+
+
+# (solver, keyword, bad value): each is refused before any iteration
+BAD_SOLVER_INPUTS = [
+    *[("scalar", "tol", v) for v in (0.0, -1.0, math.nan, math.inf, "1e-9",
+                                     True)],
+    *[("vector", "tol", v) for v in (0.0, -1.0, math.nan, math.inf, None)],
+    *[("vector", "damping", v) for v in (0.0, -1.0, 1.5, math.nan, math.inf,
+                                         "0.5")],
+    *[("vector", "max_iterations", v) for v in (0, -1, 2.0, 10.5, math.nan,
+                                                True, "10")],
+]
+
+
+@pytest.mark.parametrize("solver, name, value", BAD_SOLVER_INPUTS)
+def test_solver_rejects_bad_input_at_once(solver, name, value):
+    params = [MacParams(cw_min=16), MacParams(cw_min=256)]
+    with pytest.raises(ConfigError, match=name.replace("tol", "tolerance")):
+        if solver == "scalar":
+            solve_attempt_fixed_point(params[0], 3, **{name: value})
+        else:
+            solve_attempt_fixed_point_vector(params, **{name: value})
+
+
+def test_vector_solver_accepts_edge_inputs():
+    params = [MacParams(cw_min=16), MacParams(cw_min=256)]
+    undamped = solve_attempt_fixed_point_vector(params, damping=1.0)
+    assert undamped.residual <= 1e-12
+    one_step = solve_attempt_fixed_point_vector(params, tol=1.0,
+                                                max_iterations=1)
+    assert one_step.iterations == 1

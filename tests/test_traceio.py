@@ -491,6 +491,11 @@ BAD_ROWS = {
     "owner-float": (read_ownership_csv, OWNER_HEADER, "1,2.5"),
     "owner-text": (read_ownership_csv, OWNER_HEADER, "1,x"),
     "owner-blank": (read_ownership_csv, OWNER_HEADER, " "),
+    "slot-non-ascii-count": (read_slot_trace_csv, SLOT_HEADER,
+                             "1,500,idle,\U000ab694,20"),
+    "event-non-ascii-station": (read_event_trace_csv, EVENT_HEADER,
+                                "\U000ab694,1,2.5,3"),
+    "owner-non-ascii": (read_ownership_csv, OWNER_HEADER, "1,\U000ab694"),
 }
 GOOD_ROWS = {SLOT_HEADER: "0,0,success,2,500", EVENT_HEADER: "0,0,0,500",
              OWNER_HEADER: "0,2"}
@@ -498,10 +503,21 @@ GOOD_ROWS = {SLOT_HEADER: "0,0,success,2,500", EVENT_HEADER: "0,0,0,500",
 
 @pytest.mark.parametrize("reader, header, row", BAD_ROWS.values(),
                          ids=BAD_ROWS.keys())
-def test_bad_rows_rejected_with_line(reader, header, row, tmp_path):
+def test_bad_rows_rejected_with_line(reader, header, row, tmp_path,
+                                    monkeypatch):
+    # np.loadtxt misreads some non-ASCII text, differently from one
+    # process to the next, so none may reach it
+    loadtxt = np.loadtxt
+
+    def ascii_only(text, *args, **kwargs):
+        assert text.getvalue().isascii()
+        return loadtxt(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", ascii_only)
     path = tmp_path / "bad.csv"
     path.write_text("\r\n".join([header, GOOD_ROWS[header], row,
-                                 GOOD_ROWS[header]]) + "\r\n")
+                                 GOOD_ROWS[header]]) + "\r\n",
+                    encoding="utf-8")
     with pytest.raises(TraceFormatError) as err:
         reader(path)
     assert f"{path}:3: bad row" in str(err.value)
