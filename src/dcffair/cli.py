@@ -232,8 +232,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _tagged_model(sim_cfg: simmod.SimConfig):
-    """Fixed point + slot distribution for the configured stations."""
+    """Fixed point + slot distribution for the configured stations. The
+    slot distribution has one success and one collision duration, so the
+    stations must share their frame timing."""
     params = sim_cfg.station_params()
+    for name in ("difs", "sifs", "ack_dur", "header_dur", "payload_dur"):
+        values = [getattr(p, name) for p in params]
+        if len(set(values)) > 1:
+            raise ConfigError(f"mac.{name} must be the same for every "
+                              f"station in the model, got {values}")
     if all(p == params[0] for p in params):
         sol = solve_attempt_fixed_point(params[0], sim_cfg.n)
         taus = np.full(sim_cfg.n, sol.tau)
@@ -338,11 +345,10 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         _check_stations("ownership owner_id", owners, sim_cfg.n)
         stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
                  for wl in section["window_lens"] if owners.size >= wl]
-        columns = {name: [getattr(s, name) for s in stats] for name in
-                   ("window_len", "jain_mean", "jain_p05", "jain_p95")}
-        traceio.write_csv(out / "fairness_windows.csv", columns)
-        report["windows"] = [{name: getattr(s, name) for name in columns}
-                             for s in stats]
+        report["windows"] = [
+            {name: getattr(s, name) for name in
+             ("window_len", "jain_mean", "jain_p05", "jain_p95")}
+            for s in stats]
     _write_json(out / "fairness.json", report)
     print(f"fairness: beta={cpmf.beta:.4f}, E[K|{l}]={mean:.4f} -> {out}",
           file=sys.stderr)

@@ -311,8 +311,7 @@ def _deviations(beta: float, delta: float, ls: np.ndarray,
     j = np.arange(int(np.max(hi - lo)) + 1)
     k = lo[:, None] + j
     log_p = np.empty_like(k)
-    log_p[:, 0] = [math.lgamma(a + b) - math.lgamma(a + 1) - math.lgamma(b)
-                   + b * math.log1p(-beta) + a * math.log(beta)
+    log_p[:, 0] = [_log_term(a, b, beta)
                    for a, b in zip(lo.astype(np.int64).tolist(),
                                    l.astype(np.int64).tolist())]
     ratio = log_p[:, 1:]
@@ -330,13 +329,6 @@ def _deviations(beta: float, delta: float, ls: np.ndarray,
     log_p *= inside
     fast[rows] = 1.0 - log_p.sum(axis=1)
     return fast
-
-
-def _window_deviation(beta: float, delta: float, l: int,
-                      trunc: float) -> float | None:
-    """_deviations at one l, None where conditional_pmf must decide."""
-    fast = float(_deviations(beta, delta, np.array([l]), trunc)[0])
-    return None if math.isnan(fast) else fast
 
 
 def short_term_horizon(q: Sequence[float] | np.ndarray, tagged: int,

@@ -20,9 +20,11 @@ The inner loop advances event-to-event rather than slot-to-slot: a counter
 drawn as b at slot s arms its station for slot s + b (s + 1 + b after a
 transmission), so maximal runs of idle slots are applied in one jump. This
 is exactly equivalent to the per-slot loop above. The loop is flat: each
-station's state is an entry of per-station Python lists, its windows are a
-table precomputed per stage, and its stage stops at max_backoff_stage,
-beyond which the window no longer changes. No queue is kept: a station's
+station's state is an entry of per-station Python lists, and its backoff
+state is one stage index. Two tables per station, built once per run, give
+the window at each stage and the stage after a collision there: the next
+one, or at the last stage the same one again (no retry limit) or a drop
+(the last of retry_limit stages). No queue is kept: a station's
 backlog is head, the arrival time of its oldest unserved packet (the last
 departure if saturated). Poisson arrivals do not depend on the MAC, so a
 departure reads the next arrival from the station's gap stream, arming it
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from heapq import heappop, heappush
 from typing import Callable
@@ -182,11 +184,10 @@ def _refill(buffer: list, draw: Callable[[int], np.ndarray],
     return min(2 * size, _MAX_CHUNK)
 
 
-def _early_stops(n: int, stop_after_tagged, stop_after_successes
-                 ) -> tuple[int, int, int]:
-    """(tagged station, its goal, total goal); -1 where no stop is set,
-    which no station index or success count ever equals."""
-    tagged = goal = total = -1
+def _early_stop(n: int, stop_after_tagged) -> tuple[int, int]:
+    """(tagged station, its goal); -1 where no stop is set, which no
+    station index ever equals."""
+    tagged = goal = -1
     if stop_after_tagged is not None:
         try:
             tagged, goal = stop_after_tagged
@@ -199,12 +200,7 @@ def _early_stops(n: int, stop_after_tagged, stop_after_successes
         if not is_int(goal) or goal < 1:
             raise ConfigError("stop_after_tagged count must be an integer "
                               f">= 1, got {goal!r}")
-    if stop_after_successes is not None:
-        total = stop_after_successes
-        if not is_int(total) or total < 1:
-            raise ConfigError("stop_after_successes must be an integer >= 1, "
-                              f"got {total!r}")
-    return int(tagged), int(goal), int(total)
+    return int(tagged), int(goal)
 
 
 def _arrivals_by(t: float, buffered: list[float],
@@ -224,28 +220,29 @@ def _arrivals_by(t: float, buffered: list[float],
 
 
 def run(config: SimConfig, *, replication: int = 0,
-        stop_after_tagged: tuple[int, int] | None = None,
-        stop_after_successes: int | None = None) -> SimResult:
+        stop_after_tagged: tuple[int, int] | None = None) -> SimResult:
     """Run one simulation; deterministic given (config, replication).
 
-    stop_after_tagged = (station, count) and stop_after_successes allow a
-    run to end as soon as enough successes are observed, on top of the
-    configured horizon. They are conveniences for validation studies and do
-    not change the slot dynamics.
+    stop_after_tagged = (station, count) ends the run as soon as that
+    station has count successes, on top of the configured horizon. It is a
+    convenience for validation studies and does not change the slot
+    dynamics.
     """
     config.validate()
     n = config.n
-    tagged, tagged_goal, total_goal = _early_stops(
-        n, stop_after_tagged, stop_after_successes)
+    tagged, tagged_goal = _early_stop(n, stop_after_tagged)
     params = config.station_params()
     sigma = params[0].slot_sigma
     poisson = config.mode == "poisson"
-    windows = [[p.window(s) for s in range(p.max_backoff_stage + 1)]
+    # per station and stage: the window, and the stage after a collision
+    # there (-1: the packet is dropped)
+    windows = [[p.window(s) for s in range(p.retry_limit
+                                          or p.max_backoff_stage + 1)]
                for p in params]
-    top_stage = [p.max_backoff_stage for p in params]
+    after = [list(range(1, len(w))) + [-1 if p.retry_limit else len(w) - 1]
+             for p, w in zip(params, windows)]
     d_succ = [p.d_succ for p in params]
     d_coll = [p.d_coll for p in params]
-    retry = [p.retry_limit or -1 for p in params]  # -1: never reached
 
     def stream(*key: int) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=config.seed,
@@ -256,12 +253,9 @@ def run(config: SimConfig, *, replication: int = 0,
     uniforms: list[list[float]] = [[] for _ in range(n)]
     u_chunk = [_FIRST_CHUNK] * n
     stage = [0] * n
-    tries = [0] * n  # collisions of the head-of-line packet
     successes = [0] * n
     drops = [0] * n
     collisions = [0] * n
-    head = [0.0] * n  # arrival of the head-of-line (or, if idle, next) packet
-    idle_until = [math.inf] * n  # head[i] while idle, inf while backlogged
     heap: list[int] = []  # slot * n + station, for each armed station
 
     slot_idx = wall = start = success_slots = collision_slots = 0
@@ -279,7 +273,6 @@ def run(config: SimConfig, *, replication: int = 0,
     ev_departure: list[int] = []
     owners: list[int] = []
 
-    next_arrival = math.inf  # earliest arrival at an idle station
     if poisson:
         draw_gap = [partial(stream(i, 1).exponential, 1e6 / rate) if rate > 0
                     else None for i, rate in enumerate(config.arrival_rates())]
@@ -292,15 +285,14 @@ def run(config: SimConfig, *, replication: int = 0,
                 gap_chunk[i] = _refill(g, draw_gap[i], gap_chunk[i])
             return g.pop()
 
-        for i in range(n):
-            if draw_gap[i] is not None:
-                idle_until[i] = next_gap(i)
-        head = idle_until.copy()
-        next_arrival = min(idle_until)
+        idle_until = [math.inf if draw is None else next_gap(i)
+                      for i, draw in enumerate(draw_gap)]
     else:
-        for i in range(n):
-            u_chunk[i] = _refill(uniforms[i], draw_u[i], u_chunk[i])
-            heappush(heap, int(uniforms[i].pop() * windows[i][0]) * n + i)
+        idle_until = [0.0] * n  # every station arrives at the first slot
+    # head[i] is the arrival of the head-of-line (or, if idle, next)
+    # packet; idle_until[i] is head[i] while idle, inf while backlogged
+    head = idle_until.copy()
+    next_arrival = min(idle_until)  # earliest arrival at an idle station
 
     while slot_idx < max_slots and wall < max_us:
         if wall >= next_arrival:
@@ -333,7 +325,7 @@ def run(config: SimConfig, *, replication: int = 0,
                     ev_arrival.append(head[i])
                     ev_departure.append(wall)
                 successes[i] += 1
-                stage[i] = tries[i] = 0
+                stage[i] = 0
                 head[i] = t = head[i] + next_gap(i) if poisson else wall
                 if t <= wall:
                     u = uniforms[i]
@@ -344,8 +336,7 @@ def run(config: SimConfig, *, replication: int = 0,
                 else:
                     idle_until[i] = t
                     next_arrival = min(next_arrival, t)
-                if (i == tagged and successes[i] == tagged_goal
-                        or success_slots == total_goal):
+                if i == tagged and successes[i] == tagged_goal:
                     break
             else:
                 armed = [i]
@@ -361,23 +352,20 @@ def run(config: SimConfig, *, replication: int = 0,
                 collision_slots += 1
                 for i in armed:
                     collisions[i] += 1
-                    tries[i] += 1
-                    if tries[i] == retry[i]:
+                    s = stage[i] = after[i][stage[i]]
+                    if s < 0:
                         drops[i] += 1  # the head-of-line packet departs
-                        stage[i] = tries[i] = 0
+                        stage[i] = s = 0
                         t = head[i] + next_gap(i) if poisson else wall
                         head[i] = t
                         if t > wall:
                             idle_until[i] = t
                             next_arrival = min(next_arrival, t)
                             continue
-                    elif stage[i] < top_stage[i]:
-                        stage[i] += 1
                     u = uniforms[i]
                     if not u:
                         u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
-                    heappush(heap, (slot_idx
-                                    + int(u.pop() * windows[i][stage[i]]))
+                    heappush(heap, (slot_idx + int(u.pop() * windows[i][s]))
                              * n + i)
         else:
             # idle run up to the next armed station, arrival, or horizon
@@ -441,12 +429,15 @@ def replicate(config: SimConfig, reps: int, jobs: int = 1) -> np.ndarray:
     set of replications is deterministic and pairwise independent. With
     jobs > 1 replications execute in a process pool, each worker sending
     back its row; rows are assembled in replication order either way.
+    Traces are not recorded, since only the throughput is kept.
     """
     if not is_int(reps) or reps < 1:
         raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    row = partial(_throughput, config)
+    config.validate()  # before the trace flags are overridden
+    row = partial(_throughput, replace(config, record_slot_trace=False,
+                                       record_event_trace=False))
     if jobs == 1:
         return np.stack([row(r) for r in range(reps)])
     from concurrent.futures import ProcessPoolExecutor

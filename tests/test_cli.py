@@ -128,8 +128,9 @@ def test_fairness_homogeneous_first_row(config_path, tmp_path):
     assert rows[0] == "k,probability"
     k, p = rows[1].split(",")
     assert k == "0" and float(p) == pytest.approx(0.5)
-    windows = (out / "fairness_windows.csv").read_text().strip().splitlines()
-    assert len(windows) == 3  # header + two window lengths
+    windows = json.loads((out / "fairness.json").read_text())["windows"]
+    assert [w["window_len"] for w in windows] == [10, 100]
+    assert not (out / "fairness_windows.csv").exists()
 
 
 def test_clock_outputs(config_path, tmp_path):
@@ -180,6 +181,27 @@ def test_estimate_brackets_model_rate(config_path, tmp_path):
     lo, hi = est["ci95"]
     assert lo < model["throughput_pps"][0] < hi
     assert (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("payload_durs", [[700, 8192, 8192],
+                                          [8192, 700, 8192]], ids=repr)
+def test_model_rejects_mixed_frame_timing(payload_durs, tmp_path, capsys):
+    # the model has one success and one collision duration, while the
+    # simulator gives each station its own
+    config = copy.deepcopy(BASE_CONFIG)
+    config["mac"] = [{**config["mac"], "payload_dur": d}
+                     for d in payload_durs]
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for argv in (["model"], ["servicecurve"],
+                 ["fairness", "--ownership", str(out / "ownership.csv")],
+                 ["clock", "--slot-trace", str(out / "slot_trace.csv")]):
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "payload_dur" in lines[0]
 
 
 def test_missing_config_exit_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from dcffair import HorizonNotFoundError, conditional_pmf, short_term_horizon
 from dcffair import fairness
 from dcffair.errors import is_int
 from dcffair.fairness import (_DEVIATION_BAND, _K_CAP, _L_CAP, _MASS_REACH,
-                              _window_deviation)
+                              _deviations)
 
 
 # --- reference: the scan short_term_horizon replaced ---
@@ -117,7 +117,7 @@ def _ref_band_scan(q: Sequence[float] | np.ndarray, tagged: int,
     probability is eventually decreasing in l (it is, by concentration of
     the negative binomial). Each step compares eps with the deviation
     probability of the truncated conditional_pmf, taken from
-    _window_deviation unless that lies within _DEVIATION_BAND of eps.
+    _ref_window_deviation unless that lies within _DEVIATION_BAND of eps.
     """
     q = np.asarray(q, dtype=float)
     if not (is_int(tagged) and is_int(contender) and tagged != contender
@@ -229,8 +229,8 @@ def test_fast_deviation_within_a_tenth_of_the_band(beta, delta, eps):
     if beta <= 0.02:
         ls.add(_L_CAP)
     for l in sorted(ls):
-        fast = _window_deviation(beta, delta, l, trunc)
-        assert fast is not None
+        fast = float(_deviations(beta, delta, np.array([l]), trunc)[0])
+        assert not math.isnan(fast)
         assert abs(fast - _ref_deviation(beta, delta, eps, l)) <= (
             _DEVIATION_BAND / 10), l
 
@@ -299,12 +299,12 @@ def test_block_values_match_the_band_scan(beta, delta, eps):
     # within 1e-14 of its values, against a band of 1e-7
     trunc = min(1e-9, eps * 1e-3)
     ls = np.arange(2, 700)
-    block = fairness._deviations(beta, delta, ls, trunc)
+    block = _deviations(beta, delta, ls, trunc)
     for i in range(0, ls.size, 23):
         want = _ref_window_deviation(beta, delta, int(ls[i]), trunc)
-        one = _window_deviation(beta, delta, int(ls[i]), trunc)
+        one = float(_deviations(beta, delta, np.array([ls[i]]), trunc)[0])
         if want is None:
-            assert one is None and math.isnan(block[i])
+            assert math.isnan(one) and math.isnan(block[i])
         else:
             assert abs(block[i] - want) <= 1e-14
             assert abs(one - want) <= 1e-14

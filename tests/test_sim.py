@@ -50,9 +50,6 @@ class TestConfig:
         {"stop_after_tagged": (0, 2.5)},
         {"stop_after_tagged": (0,)},
         {"stop_after_tagged": 3},
-        {"stop_after_successes": 0},
-        {"stop_after_successes": -4},
-        {"stop_after_successes": 2.5},
     ], ids=repr)
     def test_rejects_bad_early_stops(self, stops):
         # the huge horizon makes a stop that is never met run for minutes
@@ -92,15 +89,13 @@ class TestDynamics:
         tagged = run(cfg, stop_after_tagged=(np.int64(2), 1))
         assert tagged.counters.successes[2] == 1
         assert tagged.success_owners[-1] == 2
-        total = run(cfg, stop_after_successes=np.int64(4))
-        assert total.counters.success_slots == 4
 
     def test_single_station_mean_interdeparture(self):
         # backoff mean (W-1)/2 idle slots plus the success slot
         params = MacParams()
         res = run(SimConfig(n=1, params=params, horizon_slots=10 ** 9,
                             seed=2, record_slot_trace=False),
-                  stop_after_successes=100_000)
+                  stop_after_tagged=(0, 100_000))
         gaps = np.diff(res.events.departure)
         expected = (params.cw_min - 1) / 2 * params.slot_sigma + params.d_succ
         assert np.mean(gaps) == pytest.approx(expected, rel=0.01)
@@ -222,10 +217,12 @@ class TestPoisson:
 
 class TestReplicate:
     def test_single_replication_equals_run(self):
-        cfg = quiet(3, seed=42)
-        stats = replicate(cfg, 1)
-        direct = run(cfg).throughput_pps()
-        assert stats[0] == pytest.approx(direct)
+        # replicate turns traces off, which must not change a row
+        for cfg in (quiet(3, seed=42),
+                    SimConfig(n=3, horizon_slots=20_000, seed=42)):
+            stats = replicate(cfg, 1)
+            direct = run(cfg).throughput_pps()
+            assert np.array_equal(stats[0], direct)
 
     def test_replications_are_distinct(self):
         cfg = SimConfig(n=2, horizon_slots=5000, seed=42)
@@ -249,6 +246,11 @@ class TestReplicate:
         serial = replicate(cfg, 4, jobs=1)
         parallel = replicate(cfg, 4, jobs=2)
         assert np.array_equal(serial, parallel)
+
+    def test_rejects_bad_trace_flag(self):
+        # checked before replicate turns the traces off
+        with pytest.raises(ConfigError, match="record_slot_trace"):
+            replicate(quiet(2, horizon_slots=100, record_slot_trace="no"), 1)
 
     @pytest.mark.parametrize("jobs", [2.5, -3, 0, True, "2"])
     def test_rejects_bad_jobs(self, jobs):

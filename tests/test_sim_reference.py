@@ -334,6 +334,13 @@ def _ref_run(config: SimConfig, *, replication: int = 0,
 HETERO = (MacParams(cw_min=8, cw_max=64), MacParams(cw_min=32, payload_dur=700),
           MacParams(cw_min=16, retry_limit=3), MacParams(cw_min=4, cw_max=16))
 CROWDED = MacParams(cw_min=4, cw_max=16, max_backoff_stage=2, retry_limit=2)
+# edges of run's stage tables: one stage that drops at every collision,
+# retry stages past the top window, and one window with and without drops
+ONE_TRY = MacParams(cw_min=8, cw_max=64, retry_limit=1)
+LONG_RETRY = MacParams(cw_min=4, cw_max=64, max_backoff_stage=2,
+                       retry_limit=6)
+ONE_STAGE = (MacParams(cw_min=8, max_backoff_stage=0),
+             MacParams(cw_min=8, max_backoff_stage=0, retry_limit=2)) * 4
 VALIDATION = MacParams(cw_min=128, max_backoff_stage=3)
 # (config, run keyword arguments), each run for several seeds and
 # replications
@@ -348,8 +355,12 @@ CASES = {
     "stop-after-tagged": (SimConfig(n=10, params=VALIDATION,
                                     horizon_slots=10 ** 9),
                           {"stop_after_tagged": (3, 100)}),
-    "stop-after-successes": (SimConfig(n=5, horizon_slots=10 ** 9),
-                             {"stop_after_successes": 777}),
+    "retry-limit-1": (SimConfig(n=6, params=ONE_TRY, horizon_slots=20_000),
+                      {}),
+    "retry-past-top-stage": (SimConfig(n=12, params=LONG_RETRY,
+                                       horizon_slots=20_000), {}),
+    "max-backoff-stage-0": (SimConfig(n=8, params=ONE_STAGE,
+                                      horizon_slots=20_000), {}),
     "poisson-n1": (SimConfig(n=1, mode="poisson", arrival_rate_pps=50.0,
                              horizon_us=2_000_000), {}),
     "poisson-unequal": (SimConfig(n=4, mode="poisson",
@@ -417,6 +428,15 @@ def test_cases_cover_what_they_claim():
     assert np.all(overload.queue_final > _MAX_CHUNK)
     hetero = _ref_run(CASES["heterogeneous"][0]).counters
     assert hetero.drops.sum() > 0
+    one_try = _ref_run(CASES["retry-limit-1"][0]).counters
+    assert one_try.drops.sum() > 0
+    assert np.array_equal(one_try.drops, one_try.collisions_involved)
+    # a drop there takes six collisions in a row, past stage 2
+    assert _ref_run(CASES["retry-past-top-stage"][0]).counters.drops.sum() > 0
+    one_stage = _ref_run(CASES["max-backoff-stage-0"][0]).counters
+    assert one_stage.drops[1::2].sum() > 0
+    assert one_stage.drops[::2].sum() == 0
+    assert one_stage.collisions_involved[::2].min() > 0
     long_run = _ref_run(CASES["long-n1"][0]).counters
     assert long_run.attempts[0] > 3 * _BACKOFF_BUFFER
 
@@ -485,7 +505,7 @@ def test_run_length_edges_expand_to_per_slot_fill(cfg, kwargs, edge):
 def _random_setup(rng: np.random.Generator) -> tuple[SimConfig, dict, int]:
     """Mostly Poisson stations with their own windows, retry limits and
     frame lengths, rates log-uniform up to 1e5 pps (some 0), a short
-    horizon in slots or microseconds and either early stop or none."""
+    horizon in slots or microseconds and an early stop or none."""
     n = int(rng.integers(1, 9))
     params = tuple(
         MacParams(cw_min=int(cw), cw_max=int(cw) << int(rng.integers(0, 6)),
@@ -504,10 +524,12 @@ def _random_setup(rng: np.random.Generator) -> tuple[SimConfig, dict, int]:
                     arrival_rate_pps=rates if poisson else None,
                     seed=int(rng.integers(2 ** 32)), **horizon)
     stop = rng.integers(3)
-    kwargs = ({} if stop == 0 else
-              {"stop_after_tagged": (int(rng.integers(n)),
-                                     int(rng.integers(1, 50)))} if stop == 1
-              else {"stop_after_successes": int(rng.integers(1, 200))})
+    kwargs = {}
+    if stop == 1:
+        kwargs = {"stop_after_tagged": (int(rng.integers(n)),
+                                        int(rng.integers(1, 50)))}
+    elif stop == 2:
+        rng.integers(1, 200)  # a retired stop's draw; later set-ups stay
     return cfg, kwargs, int(rng.integers(4))
 
 
