@@ -33,7 +33,8 @@ from . import fairness as fairmod
 from . import netcalc
 from . import sim as simmod
 from . import traceio
-from .errors import ConfigError, Error, TraceFormatError, is_finite, is_int
+from .errors import (ConfigError, Error, ModelError, TraceFormatError,
+                     is_finite, is_int)
 from .mac import (MacParams, saturation_throughput, slot_distribution,
                   solve_attempt_fixed_point, solve_attempt_fixed_point_vector)
 
@@ -226,9 +227,14 @@ def _check_stations(what: str, stations: np.ndarray, n: int) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write payload as JSON, which holds no NaN or Infinity: a value that
+    is not finite raises ModelError before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ModelError(f"{path}: a value is not finite, which JSON "
+                         "cannot hold") from None
+    path.write_text(text + "\n")
 
 
 def _tagged_model(sim_cfg: simmod.SimConfig):
@@ -282,8 +288,9 @@ def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         "collision_rate_per_slot": c.collision_slots / max(c.n_slots, 1),
     }
     _write_json(out / "summary.json", summary)
-    if reps > 1:
-        stats = simmod.replicate(sim_cfg, reps, jobs=jobs)
+    if reps > 1:  # replication 0 is the run above
+        stats = np.vstack([result.throughput_pps(), simmod.replicate(
+            sim_cfg, range(1, reps), jobs=jobs)])
         traceio.write_csv(out / "replications.csv", {
             "replication": range(reps),
             **{f"throughput_pps_{i}": stats[:, i] for i in range(sim_cfg.n)}})
@@ -497,7 +504,10 @@ def cmd_demo(out: Path, seed: int | None = None) -> None:
     config = _apply_overrides(json.loads(json.dumps(DEMO_CONFIG)), seed)
     sim_cfg = build_sim_config(config)
     settings = _read_settings(config, sim_cfg.n, _SECTIONS)
-    _write_json(out / "config.json", config)
+    try:  # the config is input, so a value JSON cannot hold is exit 2
+        _write_json(out / "config.json", config)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
     result = cmd_simulate(sim_cfg, settings, out)
     cmd_model(sim_cfg, settings, out)
     cmd_fairness(sim_cfg, settings, out, result.success_owners)

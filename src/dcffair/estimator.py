@@ -142,8 +142,9 @@ def estimate_fair_rate(events: EventTrace,
             busy_fraction=busy_fraction,
         )
     rate, stderr = _delta_method(samples)
-    if samples.size >= 3 and np.std(samples) > 0:
-        x, y = samples[:-1], samples[1:]
+    x, y = samples[:-1], samples[1:]
+    # corrcoef divides by the spread of each half
+    if samples.size >= 3 and np.std(x) > 0 and np.std(y) > 0:
         lag1 = float(np.corrcoef(x, y)[0, 1])
     else:
         lag1 = 0.0

@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DivergenceError, InstabilityError, is_finite
+from .errors import (ConsistencyError, DivergenceError, InstabilityError,
+                     is_finite)
 from .mac import SlotDistribution
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -194,6 +195,10 @@ def service_curve(model: IncrementModel, theta: float,
         raise ValueError(f"eps must be in (0, 1) with a finite 1/eps, "
                          f"got {eps!r}")
     lam = log_mgf(model, theta)
+    if lam <= 0.0:  # Lambda >= theta * d_succ > 0, so only rounding gets here
+        raise ConsistencyError(
+            f"log-MGF at theta = {theta:.6g}/us is {lam:.6g}, not > 0: theta "
+            "is too small for it to be resolved in floating point")
     rate_ppus = theta / lam
     latency_us = math.log(1.0 / eps) / theta
     return StochasticServiceCurve(

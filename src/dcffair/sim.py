@@ -24,13 +24,17 @@ station's state is an entry of per-station Python lists, and its backoff
 state is one stage index. Two tables per station, built once per run, give
 the window at each stage and the stage after a collision there: the next
 one, or at the last stage the same one again (no retry limit) or a drop
-(the last of retry_limit stages). No queue is kept: a station's
+(the last of retry_limit stages). No packet queue is kept: a station's
 backlog is head, the arrival time of its oldest unserved packet (the last
 departure if saturated). Poisson arrivals do not depend on the MAC, so a
-departure reads the next arrival from the station's gap stream, arming it
-at once if that is due by the end of the slot and idling it until then
-otherwise; queue_final sums the stream on from head to the start of the
-last slot, so memory does not grow with the backlog.
+departure reads the next arrival from the station's gap stream and arms the
+station at once if it is due by the end of the slot, else pushes (arrival,
+station) onto a second heap, pending. Pending entries due by a slot start
+are armed before it, and the earliest ends an idle run; saturated stations
+start as entries at time 0, a station with rate 0 has none. Each station
+has its own streams and armed keys order by (slot, station), so the order
+of arming changes nothing. queue_final sums the gap stream from head to the
+start of the last slot, so memory does not grow with the backlog.
 
 Randomness comes from counter-based Philox streams seeded per
 (replication, station) via SeedSequence spawn keys, which makes every run
@@ -47,7 +51,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -285,28 +289,23 @@ def run(config: SimConfig, *, replication: int = 0,
                 gap_chunk[i] = _refill(g, draw_gap[i], gap_chunk[i])
             return g.pop()
 
-        idle_until = [math.inf if draw is None else next_gap(i)
-                      for i, draw in enumerate(draw_gap)]
+        head = [next_gap(i) if draw else math.inf
+                for i, draw in enumerate(draw_gap)]
     else:
-        idle_until = [0.0] * n  # every station arrives at the first slot
-    # head[i] is the arrival of the head-of-line (or, if idle, next)
-    # packet; idle_until[i] is head[i] while idle, inf while backlogged
-    head = idle_until.copy()
-    next_arrival = min(idle_until)  # earliest arrival at an idle station
+        head = [0.0] * n  # every station arrives at the first slot
+    # head[i] is the arrival of the head-of-line (or, if idle, next) packet;
+    # pending holds (head[i], i) for each idle station that has one coming
+    pending = sorted((t, i) for i, t in enumerate(head) if t < math.inf)
 
     while slot_idx < max_slots and wall < max_us:
-        if wall >= next_arrival:
-            # idle stations whose next packet arrived by the slot start
-            # become backlogged and draw
-            for i in range(n):
-                if idle_until[i] <= wall:
-                    idle_until[i] = math.inf
-                    u = uniforms[i]
-                    if not u:
-                        u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
-                    heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
-                             * n + i)
-            next_arrival = min(idle_until)
+        while pending and pending[0][0] <= wall:
+            # an idle station whose next packet arrived by the slot start
+            # becomes backlogged and draws
+            i = heappop(pending)[1]
+            u = uniforms[i]
+            if not u:
+                u_chunk[i] = _refill(u, draw_u[i], u_chunk[i])
+            heappush(heap, (slot_idx + int(u.pop() * windows[i][0])) * n + i)
 
         limit = (slot_idx + 1) * n  # keys below it are armed for this slot
         if heap and heap[0] < limit:
@@ -334,8 +333,7 @@ def run(config: SimConfig, *, replication: int = 0,
                     heappush(heap, (slot_idx + int(u.pop() * windows[i][0]))
                              * n + i)
                 else:
-                    idle_until[i] = t
-                    next_arrival = min(next_arrival, t)
+                    heappush(pending, (t, i))
                 if i == tagged and successes[i] == tagged_goal:
                     break
             else:
@@ -359,8 +357,7 @@ def run(config: SimConfig, *, replication: int = 0,
                         t = head[i] + next_gap(i) if poisson else wall
                         head[i] = t
                         if t > wall:
-                            idle_until[i] = t
-                            next_arrival = min(next_arrival, t)
+                            heappush(pending, (t, i))
                             continue
                     u = uniforms[i]
                     if not u:
@@ -370,9 +367,9 @@ def run(config: SimConfig, *, replication: int = 0,
         else:
             # idle run up to the next armed station, arrival, or horizon
             target = heap[0] // n if heap else max_slots
-            if next_arrival != math.inf:  # it is after wall, so >= 1 slot on
+            if pending:  # its first entry is after wall, so >= 1 slot on
                 target = min(target, slot_idx
-                             + math.ceil((next_arrival - wall) / sigma))
+                             + math.ceil((pending[0][0] - wall) / sigma))
             elif not heap:
                 break  # nothing backlogged, nothing arriving
             if target > max_slots:
@@ -421,29 +418,31 @@ def run(config: SimConfig, *, replication: int = 0,
     )
 
 
-def replicate(config: SimConfig, reps: int, jobs: int = 1) -> np.ndarray:
-    """Per-station throughput (departures per second) of independent
-    replications: row r is run(config, replication=r).throughput_pps().
+def replicate(config: SimConfig, replications: Iterable[int],
+              jobs: int = 1) -> np.ndarray:
+    """Per-station throughput_pps() of run(config, replication=r), one row
+    for each r of replications (such as range(reps)), in their order.
 
-    Replication r runs with RNG substreams keyed by (r, station), so the
-    set of replications is deterministic and pairwise independent. With
-    jobs > 1 replications execute in a process pool, each worker sending
-    back its row; rows are assembled in replication order either way.
-    Traces are not recorded, since only the throughput is kept.
+    Replication r runs with RNG substreams keyed by (r, station), so the set
+    of replications is deterministic and pairwise independent. With jobs > 1
+    they run in a process pool, each worker sending back its row. Traces are
+    off, since only the throughput is kept.
     """
-    if not is_int(reps) or reps < 1:
-        raise ConfigError(f"reps must be an integer >= 1, got {reps!r}")
+    indices = list(replications) if isinstance(replications, Iterable) else []
+    if not indices or not all(is_int(r) and r >= 0 for r in indices):
+        raise ConfigError("replications must be one or more integers >= 0, "
+                          f"got {replications!r}")
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     config.validate()  # before the trace flags are overridden
     row = partial(_throughput, replace(config, record_slot_trace=False,
                                        record_event_trace=False))
     if jobs == 1:
-        return np.stack([row(r) for r in range(reps)])
+        return np.stack([row(r) for r in indices])
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return np.stack(list(pool.map(row, range(reps))))
+        return np.stack(list(pool.map(row, indices)))
 
 
 def _throughput(config: SimConfig, replication: int) -> np.ndarray:

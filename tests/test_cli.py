@@ -2,13 +2,14 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcffair import cli, traceio
+from dcffair import cli, sim, traceio
 from dcffair.cli import main
 
 BASE_CONFIG = {
@@ -66,6 +67,29 @@ def test_simulate_replications_table(config_path, tmp_path):
                  "--jobs", "2"]) == 0
     rows = (out / "replications.csv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + one row per replication
+
+
+def test_simulate_runs_each_replication_once(config_path, tmp_path,
+                                             monkeypatch):
+    # row 0 of replications.csv comes from the traced run, and the table is
+    # the one replicate gives for replications 0..2
+    config = json.loads(config_path.read_text())
+    config["sim"].update(reps=3, horizon_slots=4000)
+    path, out, want = tmp_path / "reps.json", tmp_path / "out", tmp_path / "w"
+    path.write_text(json.dumps(config))
+    rows = sim.replicate(cli.build_sim_config(config), range(3))
+    traceio.write_csv(want, {"replication": range(3), **{
+        f"throughput_pps_{i}": rows[:, i] for i in range(3)}})
+    seen, real = [], sim.run
+
+    def spy(cfg, *, replication=0, **kwargs):
+        seen.append(replication)
+        return real(cfg, replication=replication, **kwargs)
+
+    monkeypatch.setattr(sim, "run", spy)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert seen == [0, 1, 2]
+    assert (out / "replications.csv").read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("jobs", ["-3", "0", "2.5", "two"])
@@ -166,6 +190,64 @@ def test_servicecurve_instability_exit_3(config_path, tmp_path, capsys):
     assert main(["servicecurve", "--config", str(bad),
                  "--out", str(tmp_path / "out")]) == 3
     assert "instability" in capsys.readouterr().err
+
+
+def _strict_json(path: Path):
+    def reject(constant):
+        raise AssertionError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_estimate_lag1_of_constant_half_is_zero(config_path, tmp_path):
+    # three samples 100, 100, 150: the lag pairs' first half is constant
+    trace = tmp_path / "event_trace.csv"
+    trace.write_text("station,packet_id,arrival_us,departure_us\n"
+                     "0,0,0,100\n0,1,0,200\n0,2,0,300\n0,3,0,450\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--config", str(config_path), "--out",
+                     str(tmp_path), "--event-trace", str(trace)]) == 0
+    assert _strict_json(tmp_path / "estimate.json")["lag1_autocorr"] == 0.0
+
+
+# command and the JSON file whose result overflows at payload_bits 1e308
+OVERFLOWS = {"model": "model.json", "simulate": "summary.json",
+             "servicecurve": "service_bounds.json"}
+
+
+@pytest.mark.parametrize("command, name", OVERFLOWS.items(),
+                         ids=OVERFLOWS.keys())
+def test_non_finite_result_exit_3(command, name, tmp_path, capsys):
+    config = copy.deepcopy(BASE_CONFIG)
+    config["payload_bits"] = 1e308
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    line = _single_error_line(capsys.readouterr().err)
+    assert name in line and "not finite" in line
+    assert not (out / name).exists()
+
+
+def test_non_finite_config_value_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DCFFAIR_SCENARIO", "NaN")
+    assert main(["demo", "--out", str(tmp_path)]) == 2
+    line = _single_error_line(capsys.readouterr().err)
+    assert "config.json" in line and "not finite" in line
+    assert not (tmp_path / "config.json").exists()
+
+
+def test_servicecurve_unresolved_theta_exit_3(config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config["service_curve"]["theta"] = 1e-300
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["servicecurve", "--config", str(path),
+                 "--out", str(out)]) == 3
+    assert "log-MGF" in _single_error_line(capsys.readouterr().err)
+    assert not (out / "service_bounds.json").exists()
 
 
 def test_estimate_brackets_model_rate(config_path, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,15 @@ class TestEstimate:
         assert est.samples == 4
         assert est.busy_fraction == pytest.approx(1.0)
         assert est.ratio_rate_pps == pytest.approx(5 / 2600 * 1e6)
+
+    def test_lag1_is_zero_when_a_half_is_constant(self):
+        # samples 100, 100, 150: the lag pairs' first half is constant, so
+        # their correlation is undefined, while the samples' spread is not 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_fair_rate(trace([0] * 4, [100, 200, 300, 450]))
+        assert est.samples == 3
+        assert est.lag1_autocorr == 0.0
 
     def test_idle_gaps_do_not_change_rate(self):
         # two busy periods with identical in-period spacing; the idle gap

@@ -5,6 +5,7 @@ import pytest
 
 from dcffair import (
     ArrivalEnvelope,
+    ConsistencyError,
     DivergenceError,
     IncrementModel,
     InstabilityError,
@@ -119,6 +120,15 @@ class TestServiceCurve:
                           for t in grid])
         assert np.all(np.diff(rates) <= 1e-9 * rates[:-1])
         assert np.all(rates <= 1e6 / mean + 1e-6)
+
+    @pytest.mark.parametrize("theta", [1e-20, 1e-300])
+    def test_unresolved_log_mgf_rejected(self, theta):
+        # ln p - ln(1 - (1 - p) M) cancels to rounding noise: Lambda comes
+        # out <= 0, which would give a rate <= 0
+        model = model_for(3)
+        assert log_mgf(model, theta) <= 0.0
+        with pytest.raises(ConsistencyError, match="log-MGF"):
+            service_curve(model, theta, eps=0.01)
 
     def test_subnormal_eps_rejected(self):
         # 1/eps overflows to inf, which would make the latency infinite

@@ -220,9 +220,22 @@ class TestReplicate:
         # replicate turns traces off, which must not change a row
         for cfg in (quiet(3, seed=42),
                     SimConfig(n=3, horizon_slots=20_000, seed=42)):
-            stats = replicate(cfg, 1)
+            stats = replicate(cfg, range(1))
             direct = run(cfg).throughput_pps()
             assert np.array_equal(stats[0], direct)
+
+    def test_rows_follow_the_given_replications(self):
+        cfg = quiet(2, horizon_slots=3000, seed=5)
+        stats = replicate(cfg, [4, 1, 2])
+        for row, r in zip(stats, (4, 1, 2)):
+            assert np.array_equal(row, run(cfg, replication=r)
+                                  .throughput_pps())
+
+    @pytest.mark.parametrize("replications", [3, [], [-1], [1.5], [True],
+                                              "01"])
+    def test_rejects_bad_replications(self, replications):
+        with pytest.raises(ConfigError, match="replications"):
+            replicate(quiet(2, horizon_slots=100), replications)
 
     def test_replications_are_distinct(self):
         cfg = SimConfig(n=2, horizon_slots=5000, seed=42)
@@ -236,23 +249,24 @@ class TestReplicate:
         dist = slot_distribution(np.full(n, sol.tau), VALIDATION_PARAMS)
         expected = dist.p_succ[0] / dist.expected_slot_us * 1e6
         cfg = quiet(n, VALIDATION_PARAMS, horizon_slots=40_000, seed=11)
-        stats = replicate(cfg, 30)
+        stats = replicate(cfg, range(30))
         per_rep = stats.mean(axis=1)
         se = per_rep.std(ddof=1) / np.sqrt(per_rep.size)
         assert abs(per_rep.mean() - expected) <= 3 * se
 
     def test_parallel_jobs_match_serial(self):
         cfg = quiet(2, horizon_slots=8000, seed=13)
-        serial = replicate(cfg, 4, jobs=1)
-        parallel = replicate(cfg, 4, jobs=2)
+        serial = replicate(cfg, range(4), jobs=1)
+        parallel = replicate(cfg, range(4), jobs=2)
         assert np.array_equal(serial, parallel)
 
     def test_rejects_bad_trace_flag(self):
         # checked before replicate turns the traces off
         with pytest.raises(ConfigError, match="record_slot_trace"):
-            replicate(quiet(2, horizon_slots=100, record_slot_trace="no"), 1)
+            replicate(quiet(2, horizon_slots=100, record_slot_trace="no"),
+                      [0])
 
     @pytest.mark.parametrize("jobs", [2.5, -3, 0, True, "2"])
     def test_rejects_bad_jobs(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
-            replicate(quiet(2, horizon_slots=100), 2, jobs=jobs)
+            replicate(quiet(2, horizon_slots=100), range(2), jobs=jobs)

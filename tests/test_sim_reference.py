@@ -378,6 +378,17 @@ CASES = {
                                             arrival_rate_pps=100.0,
                                             horizon_slots=10 ** 9),
                                   {"stop_after_tagged": (1, 50)}),
+    # light load with long backoffs: several arrivals in one idle run, and
+    # stations that never arrive
+    "poisson-zero-rates": (SimConfig(n=8, params=MacParams(cw_min=256),
+                                     mode="poisson",
+                                     arrival_rate_pps=(0.0, 10.0) * 4,
+                                     horizon_us=20_000_000), {}),
+    # drops at light load, after which the next packet is not yet due
+    "poisson-light-retry-drops": (SimConfig(n=4, params=CROWDED,
+                                            mode="poisson",
+                                            arrival_rate_pps=30.0,
+                                            horizon_us=10_000_000), {}),
     # several refills of the largest chunk: 20k backoffs at n = 1
     "long-n1": (SimConfig(n=1, params=MacParams(cw_min=4, cw_max=8),
                           horizon_slots=50_000, record_slot_trace=False),
@@ -422,7 +433,8 @@ def test_cases_cover_what_they_claim():
     crowded = _ref_run(CASES["retry-drops"][0])
     assert crowded.counters.drops.sum() > 0
     assert max(map(len, crowded.slots.colliders)) >= 3
-    assert _ref_run(CASES["poisson-retry-drops"][0]).counters.drops.sum() > 0
+    for name in ("poisson-retry-drops", "poisson-light-retry-drops"):
+        assert _ref_run(CASES[name][0]).counters.drops.sum() > 0
     overload = _ref_run(CASES["poisson-overload"][0]).counters
     # run's final count crosses chunks of the gap stream at every station
     assert np.all(overload.queue_final > _MAX_CHUNK)
@@ -437,6 +449,16 @@ def test_cases_cover_what_they_claim():
     assert one_stage.drops[1::2].sum() > 0
     assert one_stage.drops[::2].sum() == 0
     assert one_stage.collisions_involved[::2].min() > 0
+    light = _ref_run(CASES["poisson-zero-rates"][0])
+    assert not light.counters.arrivals[::2].any()
+    assert light.counters.arrivals[1::2].all()
+    # the slot each packet arrives in; idle runs are numbered by the
+    # transmissions before them
+    slots = light.slots
+    at = np.searchsorted(np.cumsum(slots.durations), light.events.arrival,
+                         side="right")
+    idle_run = np.cumsum(slots.codes != IDLE)[at[slots.codes[at] == IDLE]]
+    assert np.bincount(idle_run).max() >= 3
     long_run = _ref_run(CASES["long-n1"][0]).counters
     assert long_run.attempts[0] > 3 * _BACKOFF_BUFFER
 
