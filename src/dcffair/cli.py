@@ -555,6 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")  # no numpy warnings: a non-finite result exits 3
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)

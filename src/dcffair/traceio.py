@@ -15,10 +15,12 @@ timestamps print as integers, the others as the float's repr.
 Files stream in chunks of _CHUNK_ROWS rows, so memory stays flat however
 long the trace. A chunk is written as one byte matrix: each field is an
 (rows, width) uint8 matrix of ASCII padded with NUL (integers by
-floor_divide passes, outcome names by table lookup), the fields and the
-',' and CRLF columns are stacked side by side, and the NULs are deleted.
-Only text that is not an integer, such as a collision's colliders or a
-float's repr, is formatted one value at a time. A chunk of lines is
+floor_divide passes, outcome names by table lookup, a finite non-integral
+float beyond +-1 as its integer part and its repr's shortest round-trip
+fraction), the fields and the ',' and CRLF columns are stacked side by
+side, and the NULs are deleted. Only a collision's colliders and the
+other floats (nan, +-inf, |v| < 1, integral ones written as floats or
+beyond int64) are formatted one value at a time. A chunk of lines is
 parsed by np.loadtxt.
 """
 
@@ -201,13 +203,16 @@ def _write(path: str | Path, header: Sequence[str], chunks) -> None:
 
 
 def _column(values) -> np.ndarray:
-    """A write_csv column chunk as a field: integers in decimal, any other
-    value as str (so a float as its repr)."""
+    """A write_csv column chunk as a field: integers in decimal, float64
+    arrays through _float_field, any other value as str (so a float as its
+    repr)."""
     if isinstance(values, range):
         values = np.arange(values.start, values.stop, values.step)
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "i":
             return _digits(values)
+        if values.dtype == np.float64:
+            return _float_field(values)
         values = values.tolist()
     return _text(list(map(str, values)), slice(None), len(values))
 
@@ -220,16 +225,61 @@ def write_csv(path: str | Path, columns: dict) -> None:
                                  for a, b in _chunks(len(cols[0]))))
 
 
-def _us_field(values: np.ndarray) -> np.ndarray:
-    """Microsecond times: integral ones as integers (-0.0 as 0), the others
-    as their repr. Non-finite values, and integral ones beyond int64, are
-    formatted one at a time."""
-    whole = (np.isfinite(values) & (values == np.trunc(values))
-             & (np.abs(values) < 2.0 ** 63))
-    other = np.flatnonzero(~whole)
-    texts = [str(int(v)) if v.is_integer() else repr(v)
-             for v in values[other].tolist()]
-    return np.hstack([_digits(values, whole),
+_POW10 = np.array([10 ** j for j in range(17)], np.uint64)
+
+
+def _fraction(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """'.' and the fraction digits of repr(v) for the finite non-integral
+    v, |v| > 1, at the bool mask rows, other rows all NUL; the integer part
+    _digits(trunc(v)) goes before it. |v|'s fraction is f / 2^k exactly,
+    1 <= k <= 52, and repr(v) has the fewest digits j whose nearest j-digit
+    decimal d / 10^j reads back as v, within half an ulp 2^-k of it:
+    2 |f 10^j - d 2^k| < 10^j. (Exactly half an ulp would need j > k, and
+    then v has j digits itself.) This holds from some j <= 16 on, so j is
+    bisected over 1..16: the shortest round trip of Adams's Ryu (PLDI
+    2018), cut down to this range."""
+    mantissa, exp = np.frexp(np.abs(values[rows]))
+    k = (53 - exp).astype(np.uint64)
+    scale = 1 << k  # 2^k
+    frac = np.ldexp(mantissa, 53).astype(np.uint64) & (scale - 1)
+    lo, j = np.ones(k.size, np.intp), np.full(k.size, 16, np.intp)
+    for _ in range(4):
+        mid = (lo + j) >> 1
+        p = _POW10.take(mid)
+        rest = (frac * p) & (scale - 1)  # f 10^j mod 2^k: low 64 bits suffice
+        ok = 2 * np.minimum(rest, scale - rest) < p
+        np.copyto(j, mid, where=ok)
+        np.copyto(lo, mid + 1, where=~ok)
+    # d: f 10^j as two uint64 limbs from 32-bit halves, shifted right by k
+    p = _POW10.take(j)
+    f_lo, f_hi = frac & 0xFFFFFFFF, frac >> 32
+    p_lo, p_hi = p & 0xFFFFFFFF, p >> 32
+    low, mid = f_lo * p_lo, f_hi * p_lo + f_lo * p_hi
+    bottom = low + (mid << 32)
+    top = f_hi * p_hi + (mid >> 32) + (bottom < low)
+    quotient, rest = (top << (64 - k)) | (bottom >> k), bottom & (scale - 1)
+    up = (rest > scale >> 1) | ((rest == scale >> 1) & (quotient & 1 == 1))
+    # 1 and the j digits of d, its leading 1 then made '.'
+    digits = np.zeros(values.size, np.int64)
+    digits[rows] = p + quotient + up
+    out = _digits(digits, rows)
+    out[np.flatnonzero(rows), out.shape[1] - 1 - j] = ord(".")
+    return out
+
+
+def _float_field(values: np.ndarray, integers: bool = False) -> np.ndarray:
+    """Floats as a field: each as its repr or, with integers, an integral
+    one as an integer (-0.0 as 0). Finite non-integral ones beyond +-1 go
+    through _fraction; only the rest (nan, +-inf, |v| < 1, integral ones
+    written as floats or beyond int64) are formatted one value at a time."""
+    trunc, size = np.trunc(values), np.abs(values)
+    short = (size > 1) & (values != trunc)  # neither nan nor +-inf
+    integral = (values == trunc) & np.isfinite(values) & integers
+    rows = short | (integral & (size < 2.0 ** 63))
+    other = np.flatnonzero(~rows)
+    texts = [str(int(v)) if whole else repr(v) for v, whole
+             in zip(values[other].tolist(), integral[other].tolist())]
+    return np.hstack([_digits(trunc, rows), _fraction(values, short),
                       _text(texts, other, values.size)])
 
 
@@ -260,7 +310,8 @@ def write_slot_trace_csv(trace: SlotTrace, path: str | Path) -> None:
 def write_event_trace_csv(trace: EventTrace, path: str | Path) -> None:
     _write(path, ["station", "packet_id", "arrival_us", "departure_us"],
            ([_digits(trace.station[a:b]), _digits(trace.packet_id[a:b]),
-             _us_field(trace.arrival[a:b]), _us_field(trace.departure[a:b])]
+             _float_field(trace.arrival[a:b], integers=True),
+             _float_field(trace.departure[a:b], integers=True)]
             for a, b in _chunks(len(trace))))
 
 

@@ -224,7 +224,7 @@ def test_non_finite_result_exit_3(command, name, tmp_path, capsys):
     path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(config))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+        warnings.simplefilter("error")  # main lets no warning out
         assert main([command, "--config", str(path), "--out", str(out)]) == 3
     line = _single_error_line(capsys.readouterr().err)
     assert name in line and "not finite" in line

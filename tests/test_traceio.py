@@ -431,6 +431,82 @@ def test_run_length_trace_round_trip(chunk, sigma, rows, scratch):
         _assert_same_slots(read_slot_trace_csv(path), trace)
 
 
+# --- floats: the vectorised shortest round trip against repr ---
+
+def _field_rows(field: np.ndarray) -> list[str]:
+    return [row.tobytes().replace(b"\0", b"").decode() for row in field]
+
+
+# ties broken to even (2^46 + 0.125 prints .12), the longest fractions
+# (1 + 2^-52), the last non-integral doubles and each side of 10^k
+ADVERSARIAL_FLOATS = [
+    1 + 2 ** -52, 2 ** 52 - 0.5, 9.999999999999998, 123456789.12345678,
+    2 ** 46 + 0.125, 2 ** 46 + 0.375,
+    *(float(np.nextafter(10.0 ** k, side)) for k in range(16)
+      for side in (0.0, np.inf))]
+
+
+def test_float_formatter_matches_repr_on_adversarial_values():
+    arrivals = run(GOLDEN_RUNS["poisson-seed-5"]).events.arrival
+    values = np.array([*ADVERSARIAL_FLOATS, *(-v for v in ADVERSARIAL_FLOATS),
+                       *arrivals.tolist()])
+    assert _field_rows(traceio._float_field(values)) == \
+        list(map(repr, values.tolist()))
+    assert _field_rows(traceio._float_field(values, integers=True)) == \
+        list(map(_ref_fmt_us, values.tolist()))
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(2 ** 52, 2 ** 53 - 1),
+                          st.integers(1, 52), st.sampled_from([1, -1])),
+                min_size=1, max_size=8))
+def test_float_formatter_matches_repr(floats):
+    # M / 2^k with a 53-bit M: every double in 1 <= |v| < 2^52, both signs
+    values = np.array([sign * m / 2 ** k for m, k, sign in floats])
+    assert _field_rows(traceio._float_field(values)) == \
+        list(map(repr, values.tolist()))
+
+
+# chunks with no value for one of the paths: integers, _fraction, repr
+FLOAT_CHUNKS = {
+    "integral": [0.0, 3.0, -7.0, 2.0 ** 62, 2.0 ** 63, -1e300],
+    "fallback": [0.5, -0.0, np.nan, np.inf, -np.inf, 5e-324],
+    "mixed": [1.5, 0.5, 2.0, -123.25, np.nan, 1e16, 2 ** 52 - 0.5,
+              -(1 + 2 ** -52), -0.0, 7.0],
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+@pytest.mark.parametrize("values", FLOAT_CHUNKS.values(),
+                         ids=FLOAT_CHUNKS.keys())
+def test_float_chunks_match_reference(chunk, values, tmp_path):
+    trace = EventTrace.from_lists(range(len(values)), range(len(values)),
+                                  values, values[::-1])
+    path, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    with mock.patch.object(traceio, "_CHUNK_ROWS", chunk):
+        _assert_files_identical(write_event_trace_csv,
+                                _ref_write_event_trace_csv, trace, tmp_path)
+        traceio.write_csv(path, {"x": np.array(values)})
+    with open(ref, "w", newline="") as fh:
+        csv.writer(fh).writerows([["x"], *([v] for v in values)])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_poisson_event_times_are_not_formatted_one_at_a_time(tmp_path):
+    events = run(GOLDEN_RUNS["poisson-seed-5"]).events
+    assert np.all((events.arrival > 1)
+                  & (events.arrival != np.trunc(events.arrival)))
+    texts = []
+
+    def spy(strings, rows, n, text=traceio._text):
+        texts.extend(strings)
+        return text(strings, rows, n)
+
+    with mock.patch.object(traceio, "_text", spy):
+        write_event_trace_csv(events, tmp_path / "events.csv")
+    assert texts == []
+
+
 # --- reader error contract ---
 
 def _long_slot_file(tmp_path):
