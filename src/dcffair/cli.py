@@ -6,6 +6,12 @@ are a stable scripting contract: 0 success, 2 input error, 3 analytical or
 domain error. All outputs are byte-deterministic for a given config and
 seed; wall-times are printed to stderr only.
 
+Each cmd_<name> writes nothing: it returns its files, by name, and its
+progress lines. main checks every JSON file, writes all files into a
+staging directory inside --out, then moves each into place. So a command
+writes all of its files or none, a failed one prints only its error: line,
+and a .dcffair-* directory stays in --out only if killed mid-commit.
+
 The analyses take trace data, not paths. A standalone command reads its
 trace file once, while its arguments are parsed; demo writes the same
 files as the chain of commands but hands the analyses its run in memory.
@@ -18,9 +24,13 @@ sets config["sim"]["seed"]. Values are parsed as JSON when possible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from itertools import chain
 from pathlib import Path
@@ -43,6 +53,8 @@ ENV_PREFIX = "DCFFAIR_"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYTIC = 3
+
+Outputs = tuple[dict, list[str]]  # a command's files by name, its lines
 
 # A field is (rule, default); a None default makes the field optional. A
 # rule is (test(value, n), text, convert), n being the station count, or
@@ -192,16 +204,15 @@ def _read_settings(config: dict, n: int, sections) -> dict:
     return settings
 
 
-def _out_dir(path: str) -> Path:
+def _out_dir(path: str) -> tuple[Path, Path]:
+    """The output directory, made if missing, and a new staging directory
+    inside it; making that directory is the writability probe."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".writable"
-        probe.touch()
-        probe.unlink()
+        return out, Path(tempfile.mkdtemp(dir=out, prefix=".dcffair-"))
     except OSError as exc:
         raise ConfigError(f"output directory {out} not writable: {exc}")
-    return out
 
 
 def _jobs(arg: str) -> int:
@@ -226,128 +237,127 @@ def _check_stations(what: str, stations: np.ndarray, n: int) -> None:
         raise TraceFormatError(f"{what} {outside[0]} is outside 0..{n - 1}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write payload as JSON, which holds no NaN or Infinity: a value that
-    is not finite raises ModelError before the file is opened."""
+def _json_text(path: Path, payload: dict) -> str:
+    """payload as the text of the JSON file path. JSON holds no NaN or
+    Infinity: a value that is not finite raises ModelError naming path."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise ModelError(f"{path}: a value is not finite, which JSON "
                          "cannot hold") from None
-    path.write_text(text + "\n")
+    return text + "\n"
 
 
-def _tagged_model(sim_cfg: simmod.SimConfig):
-    """Fixed point + slot distribution for the configured stations. The
-    slot distribution has one success and one collision duration, so the
-    stations must share their frame timing."""
-    params = sim_cfg.station_params()
+def _commit(files: dict, out: Path, stage: Path) -> None:
+    """Write every file into stage, then move each into out. JSON is checked
+    before any file is written, and a directory in the way before any is
+    moved, so a failure leaves out as it was. OSError raises ConfigError."""
+    texts = {name: _json_text(out / name, payload)
+             for name, payload in files.items() if name.endswith(".json")}
+    try:
+        for name, payload in files.items():
+            if (out / name).is_dir():  # os.replace cannot put a file there
+                raise IsADirectoryError(None, "is a directory")
+            if name in texts:
+                (stage / name).write_text(texts[name])
+            elif isinstance(payload, dict):
+                traceio.write_csv(stage / name, payload)
+            else:  # a trace, by its name: write_slot_trace_csv for slot_trace
+                getattr(traceio, f"write_{name[:-4]}_csv")(payload,
+                                                           stage / name)
+        for name in files:
+            os.replace(stage / name, out / name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out / name}: "
+                          f"{exc.strerror or exc}") from None
+
+
+@functools.lru_cache(maxsize=1)  # one solve per demo; callers only read it
+def _tagged_model(params: tuple[MacParams, ...]):
+    """Fixed point + slot distribution for the stations' MAC parameters.
+    The slot distribution has one success and one collision duration, so
+    the stations must share their frame timing."""
     for name in ("difs", "sifs", "ack_dur", "header_dur", "payload_dur"):
         values = [getattr(p, name) for p in params]
         if len(set(values)) > 1:
             raise ConfigError(f"mac.{name} must be the same for every "
                               f"station in the model, got {values}")
     if all(p == params[0] for p in params):
-        sol = solve_attempt_fixed_point(params[0], sim_cfg.n)
-        taus = np.full(sim_cfg.n, sol.tau)
+        sol = solve_attempt_fixed_point(params[0], len(params))
+        taus = np.full(len(params), sol.tau)
     else:
         taus = solve_attempt_fixed_point_vector(params).taus
     return taus, slot_distribution(taus, params[0])
 
 
-def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 jobs: int = 1) -> simmod.SimResult:
+def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict,
+                 jobs: int = 1) -> Outputs:
     started = time.perf_counter()
     result = simmod.run(sim_cfg)
     elapsed = time.perf_counter() - started
     reps = settings["sim"]["reps"]
-    if result.slots is not None:
-        traceio.write_slot_trace_csv(result.slots, out / "slot_trace.csv")
-    if result.events is not None:
-        traceio.write_event_trace_csv(result.events, out / "event_trace.csv")
-    traceio.write_ownership_csv(result.success_owners, out / "ownership.csv")
+    files = {"slot_trace.csv": result.slots, "event_trace.csv": result.events,
+             "ownership.csv": result.success_owners}
     payload_bits = settings["payload_bits"]
     c = result.counters
-    summary = {
-        "n": sim_cfg.n,
-        "mode": sim_cfg.mode,
-        "seed": sim_cfg.seed,
-        "slots": c.n_slots,
-        "wallclock_us": c.wallclock_us,
+    files["summary.json"] = {
+        "n": sim_cfg.n, "mode": sim_cfg.mode, "seed": sim_cfg.seed,
+        "slots": c.n_slots, "wallclock_us": c.wallclock_us,
         "slot_counts": {"idle": c.idle_slots, "success": c.success_slots,
                         "collision": c.collision_slots},
         "per_station": {
-            "arrivals": c.arrivals.tolist(),
-            "successes": c.successes.tolist(),
-            "drops": c.drops.tolist(),
-            "attempts": c.attempts.tolist(),
-            "collisions_involved": c.collisions_involved.tolist(),
+            **{name: getattr(c, name).tolist() for name in (
+                "arrivals", "successes", "drops", "attempts",
+                "collisions_involved")},
             "throughput_pps": result.throughput_pps().tolist(),
             "throughput_bps": result.throughput_bps(payload_bits).tolist(),
         },
         "collision_rate_per_slot": c.collision_slots / max(c.n_slots, 1),
     }
-    _write_json(out / "summary.json", summary)
     if reps > 1:  # replication 0 is the run above
         stats = np.vstack([result.throughput_pps(), simmod.replicate(
             sim_cfg, range(1, reps), jobs=jobs)])
-        traceio.write_csv(out / "replications.csv", {
+        files["replications.csv"] = {
             "replication": range(reps),
-            **{f"throughput_pps_{i}": stats[:, i] for i in range(sim_cfg.n)}})
-    print(f"simulate: {c.n_slots} slots, {c.wallclock_us} us simulated "
-          f"-> {out}", file=sys.stderr)
-    print(f"simulate: runtime {elapsed:.2f}s", file=sys.stderr)
-    return result
+            **{f"throughput_pps_{i}": stats[:, i] for i in range(sim_cfg.n)}}
+    return ({name: data for name, data in files.items() if data is not None},
+            [f"simulate: {c.n_slots} slots, {c.wallclock_us} us simulated",
+             f"simulate: runtime {elapsed:.2f}s"])
 
 
-def cmd_model(sim_cfg: simmod.SimConfig, settings: dict, out: Path) -> None:
-    taus, dist = _tagged_model(sim_cfg)
+def cmd_model(sim_cfg: simmod.SimConfig, settings: dict) -> Outputs:
+    taus, dist = _tagged_model(sim_cfg.station_params())
     payload_bits = settings["payload_bits"]
     throughput = saturation_throughput(dist, payload_bits)
     model = netcalc.increment_model_from_slots(dist, 0)
     mean_i, var_i = netcalc.increment_moments(model)
     report = {
-        "n": sim_cfg.n,
-        "tau": taus.tolist(),
+        "n": sim_cfg.n, "tau": taus.tolist(),
         "p_coll": [float(1.0 - np.prod(np.delete(1.0 - taus, i)))
                    for i in range(sim_cfg.n)],
-        "q": dist.q.tolist(),
-        "p_idle": dist.p_idle,
-        "p_succ": dist.p_succ.tolist(),
-        "p_coll_slot": dist.p_coll,
+        "q": dist.q.tolist(), "p_idle": dist.p_idle,
+        "p_succ": dist.p_succ.tolist(), "p_coll_slot": dist.p_coll,
         "expected_slot_us": dist.expected_slot_us,
         "throughput_pps": (throughput / payload_bits).tolist(),
         "throughput_bps": throughput.tolist(),
-        "increment_mean_us": mean_i,
-        "increment_var_us2": var_i,
-    }
-    _write_json(out / "model.json", report)
-    print(f"model: tau[0]={taus[0]:.6f}, S[0]={throughput[0]:.1f} bps "
-          f"-> {out}", file=sys.stderr)
+        "increment_mean_us": mean_i, "increment_var_us2": var_i}
+    return {"model.json": report}, [
+        f"model: tau[0]={taus[0]:.6f}, S[0]={throughput[0]:.1f} bps"]
 
 
-def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 owners: np.ndarray | None = None) -> None:
+def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
+                 owners: np.ndarray | None = None) -> Outputs:
     section = settings["fairness"]
-    _, dist = _tagged_model(sim_cfg)
+    _, dist = _tagged_model(sim_cfg.station_params())
     tagged, contender, l = (section["tagged"], section["contender"],
                             section["l"])
     cpmf = fairmod.conditional_pmf(float(dist.q[tagged]),
                                    float(dist.q[contender]), l,
                                    section["trunc_tol"])
     mean, variance = fairmod.pmf_moments(cpmf)
-    traceio.write_csv(out / "fairness_pmf.csv",
-                      {"k": range(cpmf.pmf.size), "probability": cpmf.pmf})
-    report = {
-        "tagged": tagged,
-        "contender": contender,
-        "l": l,
-        "beta": cpmf.beta,
-        "k_max": cpmf.k_max,
-        "tail_mass": cpmf.tail_mass,
-        "mean": mean,
-        "variance": variance,
-    }
+    report = {"tagged": tagged, "contender": contender, "l": l,
+              "beta": cpmf.beta, "k_max": cpmf.k_max,
+              "tail_mass": cpmf.tail_mass, "mean": mean, "variance": variance}
     if owners is not None:
         _check_stations("ownership owner_id", owners, sim_cfg.n)
         stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
@@ -356,13 +366,14 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
             {name: getattr(s, name) for name in
              ("window_len", "jain_mean", "jain_p05", "jain_p95")}
             for s in stats]
-    _write_json(out / "fairness.json", report)
-    print(f"fairness: beta={cpmf.beta:.4f}, E[K|{l}]={mean:.4f} -> {out}",
-          file=sys.stderr)
+    return {"fairness_pmf.csv": {"k": range(cpmf.pmf.size),
+                                 "probability": cpmf.pmf},
+            "fairness.json": report}, [
+        f"fairness: beta={cpmf.beta:.4f}, E[K|{l}]={mean:.4f}"]
 
 
-def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-              trace: traceio.SlotTrace | None = None) -> None:
+def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict,
+              trace: traceio.SlotTrace | None = None) -> Outputs:
     if trace is None:
         raise ConfigError("clock analysis needs --slot-trace")
     success = trace.codes == traceio.SUCCESS
@@ -371,15 +382,12 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
         chain.from_iterable(trace.colliders), np.int64), sim_cfg.n)
     section = settings["clock"]
     tagged = section["tagged"]
-    _, dist = _tagged_model(sim_cfg)
+    _, dist = _tagged_model(sim_cfg.station_params())
     model = netcalc.increment_model_from_slots(dist, tagged)
     fair_increment = section["fair_increment_us"]
     if fair_increment is None:
         fair_increment, _ = netcalc.increment_moments(model)
     ct = clockmod.dcf_clock(trace, tagged, fair_increment)
-    traceio.write_csv(out / "clock.csv", {
-        "j": range(1, ct.departures.size + 1), "T_j_us": ct.departures,
-        "I_j_us": ct.increments, "e_j_us": ct.errors})
     # GPS reference sharing the rate the DCF actually delivers. Every
     # station holds n_packets unit packets at t=0 with equal weights, so
     # GPS serves each at capacity/n and finishes packet j at j*n/capacity.
@@ -391,31 +399,28 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     reference = np.arange(1, n_packets + 1) * sim_cfg.n / capacity * 1e6
     deviation = clockmod.clock_vs_gps(ct, reference)
     summary = {
-        "tagged": tagged,
-        "packets": n_packets,
+        "tagged": tagged, "packets": n_packets,
         "fair_increment_us": fair_increment,
         "error_mean_us": float(np.mean(ct.errors)),
         "error_std_us": float(np.std(ct.errors, ddof=1))
         if n_packets > 1 else 0.0,
         "gps_capacity_pps": capacity,
         "deviation_vs_gps_us": {
-            "mean": deviation.mean,
-            "p05": deviation.p05,
-            "p50": deviation.p50,
-            "p95": deviation.p95,
-            "max_abs": deviation.max_abs,
-        },
-    }
-    _write_json(out / "clock_summary.json", summary)
-    print(f"clock: {n_packets} packets, mean error "
-          f"{summary['error_mean_us']:.2f} us -> {out}", file=sys.stderr)
+            name: getattr(deviation, name)
+            for name in ("mean", "p05", "p50", "p95", "max_abs")}}
+    return {"clock.csv": {
+        "j": range(1, n_packets + 1), "T_j_us": ct.departures,
+        "I_j_us": ct.increments, "e_j_us": ct.errors},
+        "clock_summary.json": summary}, [
+        f"clock: {n_packets} packets, mean error "
+        f"{summary['error_mean_us']:.2f} us"]
 
 
-def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                     plot_data: bool = False) -> None:
+def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict,
+                     plot_data: bool = False) -> Outputs:
     section = settings["service_curve"]
     tagged, eps = section["tagged"], section["eps"]
-    _, dist = _tagged_model(sim_cfg)
+    _, dist = _tagged_model(sim_cfg.station_params())
     model = netcalc.increment_model_from_slots(dist, tagged)
     theta = section["theta"]
     if theta is None:
@@ -425,37 +430,32 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     upper = 0.999 * t_max if np.isfinite(t_max) else 1.0
     thetas = np.geomspace(upper * 1e-4, upper, 32)
     curves = [netcalc.service_curve(model, th, eps) for th in thetas.tolist()]
-    traceio.write_csv(out / "service_curve.csv", {
+    files = {"service_curve.csv": {
         "theta": thetas, "rate_pps": [c.rate for c in curves],
-        "latency_s": [c.latency for c in curves], "eps": [eps] * len(curves)})
-    report = {
-        "tagged": tagged,
-        "eps": eps,
-        "theta": theta,
+        "latency_s": [c.latency for c in curves], "eps": [eps] * len(curves)}}
+    files["service_bounds.json"] = report = {
+        "tagged": tagged, "eps": eps, "theta": theta,
         "theta_max": t_max if np.isfinite(t_max) else None,
-        "rate_pps": sc.rate,
-        "rate_bps": sc.rate * settings["payload_bits"],
+        "rate_pps": sc.rate, "rate_bps": sc.rate * settings["payload_bits"],
         "latency_s": sc.latency,
-        "increment_mean_us": netcalc.increment_moments(model)[0],
-    }
+        "increment_mean_us": netcalc.increment_moments(model)[0]}
     arrival = section["arrival"]
     if arrival is not None:
         env = netcalc.ArrivalEnvelope(sigma_b=arrival["sigma_b"],
                                       rho=arrival["rho_pps"])
         report["delay_bound_s"] = netcalc.delay_bound(env, sc)
         report["backlog_bound_pkts"] = netcalc.backlog_bound(env, sc)
-    _write_json(out / "service_bounds.json", report)
     if plot_data:
         js = range(1, section["horizon_j"] + 1)
-        traceio.write_csv(out / "plot_envelope.csv", {
+        files["plot_envelope.csv"] = {
             "j": js, "t_eps_us": [netcalc.t_epsilon_us(model, theta, eps, j)
-                                  for j in js]})
-    print(f"servicecurve: rate={sc.rate:.2f} pps, latency={sc.latency:.4f} s "
-          f"-> {out}", file=sys.stderr)
+                                  for j in js]}
+    return files, [f"servicecurve: rate={sc.rate:.2f} pps, "
+                   f"latency={sc.latency:.4f} s"]
 
 
-def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
-                 trace: traceio.EventTrace | None = None) -> None:
+def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict,
+                 trace: traceio.EventTrace | None = None) -> Outputs:
     if trace is None:
         raise ConfigError("estimate analysis needs --event-trace")
     section = settings["estimate"]
@@ -463,26 +463,15 @@ def cmd_estimate(sim_cfg: simmod.SimConfig, settings: dict, out: Path,
     min_deps = section["min_period_departures"]
     events = trace.for_station(station)
     estimate = estmod.estimate_fair_rate(events, min_deps)
-    report = {
-        "station": station,
-        "rate_pps": estimate.rate_pps,
-        "stderr_pps": estimate.stderr_pps,
-        "ci95": list(estimate.ci95),
-        "samples": estimate.samples,
-        "busy_fraction": estimate.busy_fraction,
-        "lag1_autocorr": estimate.lag1_autocorr,
-        "ratio_rate_pps": estimate.ratio_rate_pps,
-    }
-    _write_json(out / "estimate.json", report)
+    report = {"station": station, **dataclasses.asdict(estimate)}
     points = estmod.convergence_report(events, section["sample_counts"],
                                        min_deps)
     columns = {name: [getattr(p, name) for p in points]
                for name in estmod.ConvergencePoint.__dataclass_fields__}
     columns["truncated"] = list(map(int, columns["truncated"]))
-    traceio.write_csv(out / "convergence.csv", columns)
-    print(f"estimate: rate={estimate.rate_pps:.2f} pps "
-          f"(ci {estimate.ci95[0]:.2f}..{estimate.ci95[1]:.2f}) -> {out}",
-          file=sys.stderr)
+    return {"estimate.json": report, "convergence.csv": columns}, [
+        f"estimate: rate={estimate.rate_pps:.2f} pps "
+        f"(ci {estimate.ci95[0]:.2f}..{estimate.ci95[1]:.2f})"]
 
 
 DEMO_CONFIG = {
@@ -499,32 +488,34 @@ DEMO_CONFIG = {
 }
 
 
-def cmd_demo(out: Path, seed: int | None = None) -> None:
-    """End-to-end smoke pipeline on a small saturated scenario."""
+def cmd_demo(seed: int | None = None) -> Outputs:
+    """End-to-end smoke pipeline on a small saturated scenario: config.json
+    and the chain of commands' files, the analyses taking the run as is."""
     config = _apply_overrides(json.loads(json.dumps(DEMO_CONFIG)), seed)
     sim_cfg = build_sim_config(config)
     settings = _read_settings(config, sim_cfg.n, _SECTIONS)
     try:  # the config is input, so a value JSON cannot hold is exit 2
-        _write_json(out / "config.json", config)
+        _json_text(Path("config.json"), config)
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
-    result = cmd_simulate(sim_cfg, settings, out)
-    cmd_model(sim_cfg, settings, out)
-    cmd_fairness(sim_cfg, settings, out, result.success_owners)
-    cmd_clock(sim_cfg, settings, out, result.slots)
-    cmd_servicecurve(sim_cfg, settings, out)
-    cmd_estimate(sim_cfg, settings, out, result.events)
-    print(f"demo: full pipeline -> {out}", file=sys.stderr)
+    files, lines = cmd_simulate(sim_cfg, settings)
+    for more, more_lines in (
+            cmd_model(sim_cfg, settings),
+            cmd_fairness(sim_cfg, settings, files["ownership.csv"]),
+            cmd_clock(sim_cfg, settings, files.get("slot_trace.csv")),
+            cmd_servicecurve(sim_cfg, settings),
+            cmd_estimate(sim_cfg, settings, files.get("event_trace.csv"))):
+        files.update(more)
+        lines += more_lines
+    return {"config.json": config, **files}, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dcffair",
-        description="DCF fairness calculus: simulate, model, and analyze",
-    )
+    parser = argparse.ArgumentParser(prog="dcffair", description=(
+        "DCF fairness calculus: simulate, model, and analyze"))
     sub = parser.add_subparsers(dest="command", required=True)
     # command, the config section it reads besides sim and mac, help, and
-    # its one option of its own, passed to cmd_<command> after out
+    # its one option of its own, passed to cmd_<command> after settings
     for name, section, text, option, spec in (
             ("simulate", "sim", "run the slot-level simulator", "--jobs",
              dict(type=_jobs, default=1, help="parallel replications")),
@@ -557,17 +548,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @np.errstate(all="ignore")  # no numpy warnings: a non-finite result exits 3
 def main(argv: list[str] | None = None) -> int:
+    stage = None
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "demo":
-            cmd_demo(_out_dir(args.out or "demo_out"), seed=args.seed)
-            return EXIT_OK
-        config = load_config(args.config, seed_override=args.seed)
-        sim_cfg = build_sim_config(config)
-        settings = _read_settings(config, sim_cfg.n, args.sections)
-        out = _out_dir(args.out or settings["out_dir"])
-        extra = (getattr(args, args.option),) if args.option else ()
-        globals()[f"cmd_{args.command}"](sim_cfg, settings, out, *extra)
+            out, stage = _out_dir(args.out or "demo_out")
+            files, lines = cmd_demo(seed=args.seed)
+        else:
+            config = load_config(args.config, seed_override=args.seed)
+            sim_cfg = build_sim_config(config)
+            settings = _read_settings(config, sim_cfg.n, args.sections)
+            out, stage = _out_dir(args.out or settings["out_dir"])
+            extra = (getattr(args, args.option),) if args.option else ()
+            files, lines = globals()[f"cmd_{args.command}"](
+                sim_cfg, settings, *extra)
+        _commit(files, out, stage)
+        print(*lines, f"{args.command}: {len(files)} files -> {out}",
+              sep="\n", file=sys.stderr)
         return EXIT_OK
     except (ConfigError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -575,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

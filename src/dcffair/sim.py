@@ -90,10 +90,10 @@ class SimConfig:
     record_slot_trace: bool = True
     record_event_trace: bool = True
 
-    def station_params(self) -> list[MacParams]:
+    def station_params(self) -> tuple[MacParams, ...]:
         if isinstance(self.params, MacParams):
-            return [self.params] * self.n
-        params = list(self.params)
+            return (self.params,) * self.n
+        params = tuple(self.params)
         if len(params) != self.n:
             raise ConfigError(
                 f"{len(params)} MacParams for {self.n} stations"

@@ -1,4 +1,7 @@
+import contextlib
 import copy
+import hashlib
+import io
 import json
 import math
 import tempfile
@@ -189,7 +192,7 @@ def test_servicecurve_instability_exit_3(config_path, tmp_path, capsys):
     bad.write_text(json.dumps(config))
     assert main(["servicecurve", "--config", str(bad),
                  "--out", str(tmp_path / "out")]) == 3
-    assert "instability" in capsys.readouterr().err
+    assert "instability" in _single_error_line(capsys.readouterr().err)
 
 
 def _strict_json(path: Path):
@@ -229,6 +232,112 @@ def test_non_finite_result_exit_3(command, name, tmp_path, capsys):
     line = _single_error_line(capsys.readouterr().err)
     assert name in line and "not finite" in line
     assert not (out / name).exists()
+
+
+def _listing(directory: Path) -> dict[str, str]:
+    """Every entry of directory, hidden ones too: a file's sha256, or
+    "dir"."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            if p.is_file() else "dir" for p in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def traces(tmp_path_factory) -> Path:
+    """The directory of one simulate run of BASE_CONFIG."""
+    out = tmp_path_factory.mktemp("traces")
+    (out / "config.json").write_text(json.dumps(BASE_CONFIG))
+    assert main(["simulate", "--config", str(out / "config.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+# id: (command, changes to BASE_CONFIG as in BAD_INPUTS below, None or
+# (trace option, the line of the simulated trace made a bad row, or None
+# to keep every row), exit code)
+FAILURES = {
+    **{f"{command}-overflow": (command, {"payload_bits": 1e308}, None, 3)
+       for command in OVERFLOWS},
+    "servicecurve-unresolved-theta": (
+        "servicecurve", {"service_curve.theta": 1e-300}, None, 3),
+    "servicecurve-instability": (
+        "servicecurve", {"service_curve.arrival.rho_pps": 1e9}, None, 3),
+    "demo-instability": ("demo", {"DCFFAIR_SERVICE_CURVE__ARRIVAL":
+                                  '{"sigma_b": 5.0, "rho_pps": 1e9}'},
+                         None, 3),
+    "demo-non-finite-config": ("demo", {"DCFFAIR_SCENARIO": "NaN"}, None, 2),
+    "clock-bad-row": ("clock", {}, ("--slot-trace", 4000), 2),
+    "estimate-bad-row": ("estimate", {}, ("--event-trace", 2000), 2),
+    "fairness-bad-row": ("fairness", {}, ("--ownership", 2000), 2),
+    # the trace reads, but the owner is outside the config's stations
+    "fairness-owner-beyond-n": ("fairness", {"sim.n": 2},
+                                ("--ownership", None), 2),
+}
+
+
+@pytest.mark.parametrize("command, changes, trace, code", FAILURES.values(),
+                         ids=FAILURES.keys())
+def test_failed_command_leaves_out_as_it_was(command, changes, trace, code,
+                                             traces, tmp_path, capsys,
+                                             monkeypatch):
+    monkeypatch.setitem(cli.DEMO_CONFIG["sim"], "horizon_slots", 5000)
+    config = copy.deepcopy(BASE_CONFIG)
+    for key, value in changes.items():
+        if key.startswith("DCFFAIR_"):
+            monkeypatch.setenv(key, value)
+        else:
+            _set(config, key, value)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    argv = [command, "--out", str(out)]
+    if command != "demo":
+        argv += ["--config", str(path)]
+    if trace:
+        option, row = trace
+        name = option[2:].replace("-", "_") + ".csv"
+        lines = (traces / name).read_text().splitlines()
+        if row is not None:
+            lines[row] = lines[row].replace(",", ";", 1)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        argv += [option, str(tmp_path / name)]
+    out.mkdir()
+    (out / "keep").mkdir()
+    for name in ("summary.json", "service_curve.csv", "ownership.csv"):
+        (out / name).write_text(f"{name} of an earlier run\n")
+    before = _listing(out)
+    assert main(argv) == code
+    _single_error_line(capsys.readouterr().err)
+    assert _listing(out) == before
+
+
+# command: one of the files it writes
+WRITES = {"simulate": "summary.json", "fairness": "fairness_pmf.csv"}
+
+
+@pytest.mark.parametrize("command, name", WRITES.items(), ids=WRITES.keys())
+def test_directory_in_the_way_exit_2(command, name, config_path, tmp_path,
+                                     capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    before = _listing(out)
+    assert main([command, "--config", str(config_path),
+                 "--out", str(out)]) == 2
+    line = _single_error_line(capsys.readouterr().err)
+    assert line.startswith(f"error: cannot write {out / name}: ")
+    assert _listing(out) == before
+
+
+def test_demo_solves_the_fixed_point_once(tmp_path, monkeypatch):
+    calls, real = [], cli.solve_attempt_fixed_point
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(cli.DEMO_CONFIG["sim"], "horizon_slots", 5000)
+    monkeypatch.setattr(cli, "solve_attempt_fixed_point", spy)
+    cli._tagged_model.cache_clear()  # an earlier test may have solved it
+    assert main(["demo", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_non_finite_config_value_exit_2(tmp_path, capsys, monkeypatch):
@@ -289,9 +398,10 @@ def test_model_rejects_mixed_frame_timing(payload_durs, tmp_path, capsys):
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
-    assert "not found" in capsys.readouterr().err
+    assert "not found" in _single_error_line(capsys.readouterr().err)
     assert main(["simulate", "--config", str(tmp_path),
                  "--out", str(tmp_path)]) == 2
+    _single_error_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command, option", [("fairness", "--ownership"),
@@ -302,7 +412,7 @@ def test_missing_trace_exit_2(command, option, config_path, tmp_path,
     for missing in (tmp_path / "nope.csv", tmp_path):
         assert main([command, "--config", str(config_path), "--out",
                      str(tmp_path), option, str(missing)]) == 2
-        assert "not found" in capsys.readouterr().err
+        assert "not found" in _single_error_line(capsys.readouterr().err)
 
 
 def test_malformed_config_reports_location(tmp_path, capsys):
@@ -310,6 +420,7 @@ def test_malformed_config_reports_location(tmp_path, capsys):
     bad.write_text('{"sim": {')
     assert main(["simulate", "--config", str(bad),
                  "--out", str(tmp_path)]) == 2
+    assert f"{bad}:1:" in _single_error_line(capsys.readouterr().err)
 
 
 POISSON = {"sim.mode": "poisson"}
@@ -433,8 +544,13 @@ def test_exit_code_contract_under_fuzz(changes):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         for command in ("simulate", "model", "fairness", "servicecurve"):
-            assert main([command, "--config", str(path),
-                         "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3)
+            if code:
+                _single_error_line(stderr.getvalue())
 
 
 # id: (command, trace option, index of the corrupted line); BASE_CONFIG's

@@ -5,7 +5,8 @@ the simulator. Each example rewrites fields of their rows or bytes of the
 file, then runs the command that reads that trace (clock, estimate or
 fairness). Whatever the input, the command exits 0, 2 (input) or 3
 (analytic); a nonzero exit prints exactly one line, starting "error: ",
-and nothing exits with a traceback.
+and leaves the pre-filled output directory as it was; nothing exits with a
+traceback, and no staging directory is left behind.
 """
 
 from __future__ import annotations
@@ -95,16 +96,24 @@ def test_exit_code_contract_under_trace_fuzz(traces, command, edits):
         config.write_text(json.dumps(CONFIG))
         trace = Path(tmp) / file
         trace.write_bytes(mutate(traces[command], edits))
+        out = Path(tmp) / "out"
+        out.mkdir()
+        (out / "clock.csv").write_bytes(b"an earlier run\n")
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = main([command, "--config", str(config), "--out",
-                         str(Path(tmp) / "out"), option, str(trace)])
+                         str(out), option, str(trace)])
+        listing = sorted(p.name for p in out.iterdir())
+        earlier = (out / "clock.csv").read_bytes()
     err = stderr.getvalue()
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+    assert not [name for name in listing if name.startswith(".dcffair-")]
     if code:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert listing == ["clock.csv"]
+        assert earlier == b"an earlier run\n"
 
 
 def test_unmutated_traces_exit_0(traces, tmp_path):
