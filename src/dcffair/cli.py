@@ -66,9 +66,8 @@ _COUNTS = (lambda v, n: isinstance(v, list) and all(
     _COUNT[0](x, n) for x in v), "a list of integers >= 1", list)
 _POSITIVE = (lambda v, n: is_finite(v) and v > 0, "a number > 0", float)
 _NON_NEGATIVE = (lambda v, n: is_finite(v) and v >= 0, "a number >= 0", float)
-_UNIT = (lambda v, n: is_finite(v) and 0 < v < 1, "a number in (0, 1)", float)
-_EPS = (lambda v, n: _UNIT[0](v, n) and is_finite(1.0 / v),  # ln(1/eps)
-        "a number in (0, 1) with a finite 1/eps", float)
+_EPS = (lambda v, n: is_finite(v) and 0 < v < 1 and is_finite(1.0 / v),
+        "a number in (0, 1) with a finite 1/eps", float)  # for ln(1/eps)
 _TEXT = (lambda v, n: isinstance(v, str), "a string", str)
 # conditional_pmf's zero-head jump is measured up to _L_CAP
 _WINDOW_L = (lambda v, n: _COUNT[0](v, n) and v <= fairmod._L_CAP,
@@ -80,14 +79,13 @@ _SECTIONS = {
     # the other sim fields are SimConfig's, checked by build_sim_config
     "sim": {"reps": (_COUNT, 1)},
     "fairness": {"tagged": (_STATION, 0), "contender": (_STATION, 1),
-                 "l": (_WINDOW_L, 1), "trunc_tol": (_UNIT, 1e-9),
+                 "l": (_WINDOW_L, 1),
                  "window_lens": (_COUNTS, [10, 100, 1000])},
-    "clock": {"tagged": (_STATION, 0), "fair_increment_us": (_POSITIVE, None)},
-    "service_curve": {
-        "tagged": (_STATION, 0), "eps": (_EPS, 1e-2),
-        "horizon_j": (_COUNT, 100), "theta": (_POSITIVE, None),
-        "arrival": ({"sigma_b": (_NON_NEGATIVE, 0.0),
-                     "rho_pps": (_NON_NEGATIVE, 0.0)}, None)},
+    "clock": {"tagged": (_STATION, 0)},
+    "service_curve": {"tagged": (_STATION, 0), "eps": (_EPS, 1e-2),
+                      "horizon_j": (_COUNT, 100),
+                      "arrival": ({"sigma_b": (_NON_NEGATIVE, 0.0),
+                                   "rho_pps": (_NON_NEGATIVE, 0.0)}, None)},
     "estimate": {"station": (_STATION, 0),
                  "min_period_departures": (_COUNT, 2),
                  "sample_counts": (_COUNTS, [100, 1000, 10000])},
@@ -352,8 +350,7 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
     tagged, contender, l = (section["tagged"], section["contender"],
                             section["l"])
     cpmf = fairmod.conditional_pmf(float(dist.q[tagged]),
-                                   float(dist.q[contender]), l,
-                                   section["trunc_tol"])
+                                   float(dist.q[contender]), l)
     mean, variance = fairmod.pmf_moments(cpmf)
     report = {"tagged": tagged, "contender": contender, "l": l,
               "beta": cpmf.beta, "k_max": cpmf.k_max,
@@ -374,6 +371,9 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
 
 def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict,
               trace: traceio.SlotTrace | None = None) -> Outputs:
+    if sim_cfg.mode != "saturated":  # the references assume a backlog
+        raise ConfigError(f"sim.mode is {sim_cfg.mode!r}, but clock "
+                          "compares with the saturated model only")
     if trace is None:
         raise ConfigError("clock analysis needs --slot-trace")
     success = trace.codes == traceio.SUCCESS
@@ -384,17 +384,12 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict,
     tagged = section["tagged"]
     _, dist = _tagged_model(sim_cfg.station_params())
     model = netcalc.increment_model_from_slots(dist, tagged)
-    fair_increment = section["fair_increment_us"]
-    if fair_increment is None:
-        fair_increment, _ = netcalc.increment_moments(model)
+    fair_increment, _ = netcalc.increment_moments(model)
     ct = clockmod.dcf_clock(trace, tagged, fair_increment)
-    # GPS reference sharing the rate the DCF actually delivers. Every
-    # station holds n_packets unit packets at t=0 with equal weights, so
-    # GPS serves each at capacity/n and finishes packet j at j*n/capacity.
-    payload_bits = settings["payload_bits"]
-    tagged_pps = float(
-        saturation_throughput(dist, payload_bits)[tagged] / payload_bits)
-    capacity = tagged_pps * sim_cfg.n
+    # GPS at the rate the DCF delivers, in packets/s (1-bit packets): every
+    # station holds n_packets unit packets at t=0 with equal weights, so GPS
+    # serves each at capacity/n and finishes packet j at j*n/capacity.
+    capacity = float(saturation_throughput(dist, 1.0)[tagged]) * sim_cfg.n
     n_packets = ct.departures.size
     reference = np.arange(1, n_packets + 1) * sim_cfg.n / capacity * 1e6
     deviation = clockmod.clock_vs_gps(ct, reference)
@@ -422,9 +417,7 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict,
     tagged, eps = section["tagged"], section["eps"]
     _, dist = _tagged_model(sim_cfg.station_params())
     model = netcalc.increment_model_from_slots(dist, tagged)
-    theta = section["theta"]
-    if theta is None:
-        theta = netcalc.optimize_theta(model, eps, section["horizon_j"])
+    theta = netcalc.optimize_theta(model, eps, section["horizon_j"])
     sc = netcalc.service_curve(model, theta, eps)
     t_max = netcalc.theta_max(model)
     upper = 0.999 * t_max if np.isfinite(t_max) else 1.0

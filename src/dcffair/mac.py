@@ -263,9 +263,11 @@ def solve_attempt_fixed_point_vector(
         p = 1.0 - prod_all / one_minus  # p_i over prod_{j != i}
         clamped = np.minimum(p, 1.0 - 1e-15)
         outside = ~((clamped >= 0.0) & (clamped < 1.0))
-        if outside.any():
-            bad = float(clamped[np.argmax(outside)])
-            raise ValueError(f"p must be in [0, 1), got {bad}")
+        if outside.any():  # nan: a station with tau = 1 makes its p 0/0
+            i = int(np.argmax(outside))
+            raise SolverError(f"station {i}'s collision probability is "
+                              f"{clamped[i]}, not in [0, 1): degenerate "
+                              "backoff parameters")
         target = _chain(clamped, half, live, unlimited, tail_half)
         residual = float(np.max(np.abs(taus - target)))
         if residual <= tol:

@@ -33,6 +33,7 @@ from .errors import (ConsistencyError, DivergenceError, InstabilityError,
 from .mac import SlotDistribution
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_THETA_CAP, _GRID_POINTS = 1.0, 64  # optimize_theta's theta range and grid
 
 
 @dataclass(frozen=True)
@@ -209,19 +210,18 @@ def service_curve(model: IncrementModel, theta: float,
     )
 
 
-def optimize_theta(model: IncrementModel, eps: float, horizon_j: int,
-                   theta_cap: float = 1.0, grid_points: int = 64) -> float:
+def optimize_theta(model: IncrementModel, eps: float, horizon_j: int) -> float:
     """Theta minimizing the envelope t_eps(horizon_j).
 
-    A 64-point log-spaced grid pre-scan checks unimodality; golden-section
-    search then refines around the grid minimum. A non-unimodal scan falls
-    back to the grid argmin with a warning.
+    A log-spaced grid pre-scan, theta <= _THETA_CAP, checks unimodality;
+    golden-section search then refines around the grid minimum. A
+    non-unimodal scan falls back to the grid argmin with a warning.
     """
     if horizon_j < 1:
         raise ValueError("horizon_j must be >= 1")
-    upper = min(0.999 * theta_max(model), theta_cap)
+    upper = min(0.999 * theta_max(model), _THETA_CAP)
     lower = upper * 1e-6
-    grid = np.geomspace(lower, upper, grid_points)
+    grid = np.geomspace(lower, upper, _GRID_POINTS)
     values = np.array([t_epsilon_us(model, t, eps, horizon_j) for t in grid])
     diffs = np.diff(values)
     sign_changes = int(np.sum(np.diff(np.sign(diffs[diffs != 0.0])) != 0.0))
@@ -233,7 +233,7 @@ def optimize_theta(model: IncrementModel, eps: float, horizon_j: int,
         )
         return float(grid[best])
     a = float(grid[max(best - 1, 0)])
-    b = float(grid[min(best + 1, grid_points - 1)])
+    b = float(grid[min(best + 1, _GRID_POINTS - 1)])
     for _ in range(200):
         if b - a <= 1e-12 * b:
             break

@@ -1,8 +1,6 @@
-"""Trace containers and their CSV schemas.
-
-Slot trace CSV:   slot_index,wallclock_start_us,outcome,owner_or_colliders,duration_us
-Event trace CSV:  station,packet_id,arrival_us,departure_us
-Ownership CSV:    success_index,owner_id
+"""Trace containers and their CSV files: the slot trace, the event trace
+and the ownership CSV, each headed by its *_HEADER below, the one header
+its reader takes.
 
 A slot trace row is a transmission slot or a maximal run of k idle slots,
 whose owner_or_colliders holds k and whose duration_us is k idle slots';
@@ -44,6 +42,10 @@ _OUTCOME_NAMES = np.array([b"idle", b"success", b"collision"]).view(
     np.uint8).reshape(3, 9)
 
 _CHUNK_ROWS = 8192
+SLOT_HEADER = ("slot_index", "wallclock_start_us", "outcome",
+               "owner_or_colliders", "duration_us")
+EVENT_HEADER = ("station", "packet_id", "arrival_us", "departure_us")
+OWNERSHIP_HEADER = ("success_index", "owner_id")
 # a collision's outcome and colliders, as read back
 _COLLISION_FIELDS = re.compile(r",collision,([^,\n]*),")
 
@@ -303,12 +305,11 @@ def _slot_fields(trace: SlotTrace):
 
 
 def write_slot_trace_csv(trace: SlotTrace, path: str | Path) -> None:
-    _write(path, ["slot_index", "wallclock_start_us", "outcome",
-                  "owner_or_colliders", "duration_us"], _slot_fields(trace))
+    _write(path, SLOT_HEADER, _slot_fields(trace))
 
 
 def write_event_trace_csv(trace: EventTrace, path: str | Path) -> None:
-    _write(path, ["station", "packet_id", "arrival_us", "departure_us"],
+    _write(path, EVENT_HEADER,
            ([_digits(trace.station[a:b]), _digits(trace.packet_id[a:b]),
              _float_field(trace.arrival[a:b], integers=True),
              _float_field(trace.departure[a:b], integers=True)]
@@ -320,8 +321,7 @@ def write_ownership_csv(owners: Sequence[int] | np.ndarray,
     """Success-ownership sequence, one row per success, numbered by
     success_index 0, 1, 2, ..."""
     owners = np.asarray(owners, dtype=np.int64)
-    write_csv(path, {"success_index": range(owners.size),
-                     "owner_id": owners})
+    write_csv(path, dict(zip(OWNERSHIP_HEADER, (range(owners.size), owners))))
 
 
 def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
@@ -344,16 +344,18 @@ def _parse(lines: list[str], dtype: np.dtype, prepare) -> np.ndarray | None:
     return rows if rows.size == len(lines) else None
 
 
-def _read_rows(path: str | Path, first: str, what: str, dtype,
+def _read_rows(path: str | Path, header: Sequence[str], dtype,
                prepare=lambda text: text) -> dict[str, np.ndarray]:
-    """The columns of a CSV whose header starts with first, parsed in
-    chunks; prepare(text) rewrites a chunk's text before it is parsed, or
-    raises ValueError."""
+    """The columns of a CSV headed by header, parsed in chunks;
+    prepare(text) rewrites a chunk's text before it is parsed, or raises
+    ValueError."""
     dtype = np.dtype(dtype)
     parts = []
     with open(path, errors="replace") as fh:  # non-UTF-8 fails to parse
-        if fh.readline().rstrip("\n").split(",")[0] != first:
-            raise TraceFormatError(f"{path}: not {what}")
+        got = fh.readline().rstrip("\n")  # CRLF reads as LF
+        if got != ",".join(header):
+            raise TraceFormatError(f"{path}:1: header {got!r}, expected "
+                                   f"{','.join(header)!r}")
         lineno = 2
         while lines := list(islice(fh, _CHUNK_ROWS)):
             parts.append(_parse(lines, dtype, prepare))
@@ -435,10 +437,9 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
         return (_COLLISION_FIELDS.sub(",2,-1,", text)
                 .replace(",idle,", ",0,").replace(",success,", ",1,"))
 
-    columns = _read_rows(
-        path, "slot_index", "a slot trace CSV",
-        [("slot_index", "i8"), ("wallclock_start_us", "i8"), ("codes", "i1"),
-         ("who", "i8"), ("durations", "i8")], prepare)
+    columns = _read_rows(path, SLOT_HEADER, [
+        ("slot_index", "i8"), ("wallclock_start_us", "i8"), ("codes", "i1"),
+        ("who", "i8"), ("durations", "i8")], prepare)
     codes, who = columns["codes"], columns["who"]
     _check_slots(path, codes, who, columns["durations"], colliders)
     trace = SlotTrace(codes=codes,
@@ -456,11 +457,15 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
 
 def _check_events(path: str | Path, trace: EventTrace) -> None:
     """Raise naming the line of the first event no FIFO station can
-    depart: a station below 0, a packet_id not above the station's
-    previous one, or a departure not after its arrival."""
+    depart: a station below 0, a time not finite, a packet_id not above
+    the station's previous one, or a departure not after its arrival."""
     station, packet = trace.station, trace.packet_id
     _reject(path, station < 0,
             lambda k: f"station {station[k]}, expected >= 0")
+    for name, times in (("arrival_us", trace.arrival),
+                        ("departure_us", trace.departure)):
+        _reject(path, ~np.isfinite(times),
+                lambda k: f"{name} {times[k]}, expected a finite time")
     # a stable radix sort in the narrowest dtype keeps each station's order
     order = np.argsort(station.astype(np.min_scalar_type(
         station.max(initial=0))), kind="stable")
@@ -477,16 +482,15 @@ def _check_events(path: str | Path, trace: EventTrace) -> None:
 
 
 def read_event_trace_csv(path: str | Path) -> EventTrace:
-    trace = EventTrace(**_read_rows(path, "station", "an event trace CSV",
-                                    [("station", "i4"), ("packet_id", "i8"),
-                                     ("arrival", "f8"),
-                                     ("departure", "f8")]))
+    trace = EventTrace(**_read_rows(path, EVENT_HEADER, [
+        ("station", "i4"), ("packet_id", "i8"), ("arrival", "f8"),
+        ("departure", "f8")]))
     _check_events(path, trace)
     return trace
 
 
 def read_ownership_csv(path: str | Path) -> np.ndarray:
-    columns = _read_rows(path, "success_index", "an ownership CSV",
+    columns = _read_rows(path, OWNERSHIP_HEADER,
                          [("success_index", "i8"), ("owner_id", "i4")])
     _check_column(path, "success_index", columns["success_index"],
                   np.arange(columns["success_index"].size))

@@ -251,14 +251,18 @@ def traces(tmp_path_factory) -> Path:
     return out
 
 
+DEGENERATE_MAC = [{"cw_min": 1, "cw_max": 2}, {"cw_min": 16}]
+
 # id: (command, changes to BASE_CONFIG as in BAD_INPUTS below, None or
 # (trace option, the line of the simulated trace made a bad row, or None
 # to keep every row), exit code)
 FAILURES = {
     **{f"{command}-overflow": (command, {"payload_bits": 1e308}, None, 3)
        for command in OVERFLOWS},
-    "servicecurve-unresolved-theta": (
-        "servicecurve", {"service_curve.theta": 1e-300}, None, 3),
+    # a cw_min 1 station attempts in every slot at stage 0: its p is 0/0
+    **{f"{command}-degenerate-mac": (command, {"mac": DEGENERATE_MAC,
+                                               "sim.n": 2}, None, 3)
+       for command in ("model", "fairness", "servicecurve")},
     "servicecurve-instability": (
         "servicecurve", {"service_curve.arrival.rho_pps": 1e9}, None, 3),
     "demo-instability": ("demo", {"DCFFAIR_SERVICE_CURVE__ARRIVAL":
@@ -309,6 +313,20 @@ def test_failed_command_leaves_out_as_it_was(command, changes, trace, code,
     assert _listing(out) == before
 
 
+def test_clock_does_not_read_payload_bits(traces, tmp_path):
+    # the GPS capacity is the model's packet rate, whatever the payload
+    listings = []
+    for bits in (8192, 1000, 1e308):
+        config = copy.deepcopy(BASE_CONFIG)
+        config["payload_bits"] = bits
+        path, out = tmp_path / "cfg.json", tmp_path / str(bits)
+        path.write_text(json.dumps(config))
+        assert main(["clock", "--config", str(path), "--out", str(out),
+                     "--slot-trace", str(traces / "slot_trace.csv")]) == 0
+        listings.append(_listing(out))
+    assert listings[0] == listings[1] == listings[2]
+
+
 # command: one of the files it writes
 WRITES = {"simulate": "summary.json", "fairness": "fairness_pmf.csv"}
 
@@ -346,17 +364,6 @@ def test_non_finite_config_value_exit_2(tmp_path, capsys, monkeypatch):
     line = _single_error_line(capsys.readouterr().err)
     assert "config.json" in line and "not finite" in line
     assert not (tmp_path / "config.json").exists()
-
-
-def test_servicecurve_unresolved_theta_exit_3(config_path, tmp_path, capsys):
-    config = json.loads(config_path.read_text())
-    config["service_curve"]["theta"] = 1e-300
-    path, out = tmp_path / "cfg.json", tmp_path / "out"
-    path.write_text(json.dumps(config))
-    assert main(["servicecurve", "--config", str(path),
-                 "--out", str(out)]) == 3
-    assert "log-MGF" in _single_error_line(capsys.readouterr().err)
-    assert not (out / "service_bounds.json").exists()
 
 
 def test_estimate_brackets_model_rate(config_path, tmp_path):
@@ -452,6 +459,12 @@ BAD_INPUTS = {
     # above the l range conditional_pmf's zero-head jump covers
     "fairness-huge-l": ("fairness", {"fairness.l": 10_000_000}),
     "fairness-negative-tol": ("fairness", {"fairness.trunc_tol": -1}),
+    # fields whose values the commands work out themselves
+    "fairness-trunc-tol": ("fairness", {"fairness.trunc_tol": 1e-9}),
+    "clock-fair-increment": ("clock", {"clock.fair_increment_us": 1000}),
+    "service-curve-theta": ("servicecurve", {"service_curve.theta": 0.01}),
+    "clock-poisson": ("clock", {"sim.arrival_rate_pps": 5.0,
+                                "sim.mode": "poisson"}),
     "fairness-string-tagged": ("fairness", {"fairness.tagged": "x"}),
     "fairness-float-tagged": ("fairness", {"fairness.tagged": 1.9}),
     "fairness-unknown-field": ("fairness", {"fairness.bogus": 1}),
@@ -507,8 +520,7 @@ FUZZ_CONFIG = {
             "reps": 1, "record_slot_trace": False,
             "record_event_trace": False},
     "payload_bits": 8192,
-    "fairness": {"tagged": 0, "contender": 1, "l": 2, "trunc_tol": 1e-9,
-                 "window_lens": [10]},
+    "fairness": {"tagged": 0, "contender": 1, "l": 2, "window_lens": [10]},
     "service_curve": {"tagged": 0, "eps": 0.01, "horizon_j": 10,
                       "arrival": {"sigma_b": 2.0, "rho_pps": 3.0}},
 }
@@ -529,17 +541,27 @@ SCALARS = (st.none() | st.booleans() | st.integers(-5, 64)
            | st.sampled_from([math.nan, math.inf, -math.inf])
            | st.text(max_size=3))
 VALUES = SCALARS | st.lists(SCALARS, max_size=3)
+# a per-station mac list of small windows, cw_max up to 4 doublings on
+STATION_MACS = st.lists(st.builds(
+    lambda cw, doublings, m, retries: {
+        "cw_min": cw, "cw_max": cw << doublings, "max_backoff_stage": m,
+        "retry_limit": retries},
+    st.sampled_from([1, 2, 4, 16]), st.integers(0, 4), st.integers(0, 3),
+    st.integers(0, 3)), min_size=3, max_size=3)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(changes=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), VALUES),
-                        min_size=1, max_size=3))
-def test_exit_code_contract_under_fuzz(changes):
+                        min_size=1, max_size=3),
+       macs=st.none() | STATION_MACS)
+def test_exit_code_contract_under_fuzz(changes, macs):
     # overload (a Poisson rate far above saturation) is out of reach here:
     # the fuzzed config is saturated and its horizon bounds the run
     config = copy.deepcopy(FUZZ_CONFIG)
     for path, value in changes:
         _set(config, path, value)
+    if macs is not None:
+        config["mac"] = macs
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -661,6 +683,11 @@ IMPOSSIBLE_EVENTS = {
     "departure-before-arrival": ("2,0,600,599.5",
                                  "departure_us 599.5, expected above "
                                  "arrival_us 600.0"),
+    "arrival-nan": ("2,0,nan,1200", "arrival_us nan, expected a finite time"),
+    "arrival-minus-inf": ("2,0,-inf,1200",
+                          "arrival_us -inf, expected a finite time"),
+    "departure-inf": ("2,0,600,inf",
+                      "departure_us inf, expected a finite time"),
 }
 
 

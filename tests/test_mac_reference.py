@@ -4,8 +4,9 @@ The reference below is the earlier solver, kept verbatim but for its
 names: every iteration calls the scalar chain once per station. The
 solver now evaluates all stations' chains as one array recurrence, with a
 station past its last stage masked by exact 0/1 products, so both must
-give bit-equal taus, p_colls, residual and iteration count, and raise the
-same ValueError wherever the loop raised one.
+give bit-equal taus, p_colls, residual and iteration count, and stop
+wherever the loop stopped: on the same SolverError, or on a SolverError
+naming the station where the loop raised a ValueError for its p.
 """
 
 from __future__ import annotations
@@ -155,17 +156,23 @@ def test_bit_equal_on_fifty_backoff_classes():
 
 
 def test_same_error_as_the_loop():
-    # a window of 1 with no further stage transmits every slot, tau = 1:
-    # its own p is 0/0 and both solvers stop on the same ValueError
+    # a window of 1 transmits every slot at stage 0, tau = 1: its own p
+    # is 0/0, where the loop raised a ValueError and the solver names the
+    # station as degenerate
     forced = MacParams(cw_min=1, cw_max=1, max_backoff_stage=0)
-    for params in ([forced, forced], [MacParams(), forced],
-                   [forced, MacParams(retry_limit=3), MacParams(cw_min=8)],
-                   [MacParams(cw_min=1, cw_max=8, max_backoff_stage=3),
-                    MacParams(retry_limit=2)]):
-        _assert_same(params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="got nan"):
-            solve_attempt_fixed_point_vector([MacParams(), forced])
+    for params, station in (
+            ([forced, forced], 0), ([MacParams(), forced], 1),
+            ([forced, MacParams(retry_limit=3), MacParams(cw_min=8)], 0),
+            ([MacParams(cw_min=1, cw_max=8, max_backoff_stage=3),
+              MacParams(retry_limit=2)], 0),
+            ([MacParams(cw_min=1, cw_max=2), MacParams(cw_min=16)], 0)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = _outcome(_ref_solve_attempt_fixed_point_vector, params)
+            got = _outcome(solve_attempt_fixed_point_vector, params)
+        assert want == (ValueError, "p must be in [0, 1), got nan")
+        assert got == (SolverError, f"station {station}'s collision "
+                       "probability is nan, not in [0, 1): degenerate "
+                       "backoff parameters")
     # too few iterations: the same SolverError text
     _assert_same([MacParams(cw_min=16), MacParams(cw_min=256)],
                  max_iterations=3)

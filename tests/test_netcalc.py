@@ -141,8 +141,8 @@ class TestServiceCurve:
 
 class TestOptimizeTheta:
     def test_deterministic_runs_to_cap(self):
-        theta = optimize_theta(DET, eps=0.01, horizon_j=10, theta_cap=0.25)
-        assert theta == pytest.approx(0.25, rel=1e-3)
+        theta = optimize_theta(DET, eps=0.01, horizon_j=10)
+        assert theta == pytest.approx(1.0, rel=1e-3)
 
     def test_eps_one_prefers_small_theta(self):
         # no latency term: j * Lambda(theta) / theta is minimized as

@@ -281,8 +281,18 @@ def test_event_values_beyond_one_chunk(tmp_path, rng):
     # edge values, each departure after its arrival as the reader requires
     arrival[:6] = [0.0, -0.0, 1e300, 2.0 ** 60, 1e-7, -np.inf]
     departure[:6] = [1.0, 1e-7, np.inf, 2.0 ** 61, 1e-6, 0.0]
-    trace = EventTrace.from_lists(rng.integers(0, 50, size),
-                                  np.arange(size), arrival, departure)
+    station = rng.integers(0, 50, size)
+    trace = EventTrace.from_lists(station, np.arange(size), arrival,
+                                  departure)
+    path = _assert_files_identical(write_event_trace_csv,
+                                   _ref_write_event_trace_csv, trace,
+                                   tmp_path)
+    # the writer formats any float, the reader takes finite times only
+    with pytest.raises(TraceFormatError, match=":7: arrival_us -inf, "):
+        read_event_trace_csv(path)
+    departure[2], arrival[5] = 1e301, -1e300
+    trace = EventTrace.from_lists(station, np.arange(size), arrival,
+                                  departure)
     path = _assert_files_identical(write_event_trace_csv,
                                    _ref_write_event_trace_csv, trace,
                                    tmp_path)
@@ -597,6 +607,35 @@ def test_bad_rows_rejected_with_line(reader, header, row, tmp_path,
     with pytest.raises(TraceFormatError) as err:
         reader(path)
     assert f"{path}:3: bad row" in str(err.value)
+
+
+# id: (reader, a header other than its writer's, the reader's good header)
+BAD_HEADERS = {
+    "event-times-swapped": (read_event_trace_csv,
+                            "station,packet_id,departure_us,arrival_us",
+                            EVENT_HEADER),
+    "event-short": (read_event_trace_csv, "station,packet_id,arrival_us",
+                    EVENT_HEADER),
+    "owner-renamed": (read_ownership_csv, "success_index,foo", OWNER_HEADER),
+    "owner-extra": (read_ownership_csv, "success_index,owner_id,x",
+                    OWNER_HEADER),
+    "slot-renamed": (read_slot_trace_csv, SLOT_HEADER.replace("outcome",
+                                                              "kind"),
+                     SLOT_HEADER),
+    "slot-trailing-space": (read_slot_trace_csv, SLOT_HEADER + " ",
+                            SLOT_HEADER),
+}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+@pytest.mark.parametrize("reader, header, good", BAD_HEADERS.values(),
+                         ids=BAD_HEADERS.keys())
+def test_header_is_the_writers(reader, header, good, newline, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join([header, GOOD_ROWS[good], ""]).encode())
+    with pytest.raises(TraceFormatError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}:1: header {header!r}, expected {good!r}"
 
 
 def test_non_utf8_byte_is_a_bad_row(tmp_path):
