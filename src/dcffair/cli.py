@@ -12,9 +12,9 @@ staging directory inside --out, then moves each into place. So a command
 writes all of its files or none, a failed one prints only its error: line,
 and a .dcffair-* directory stays in --out only if killed mid-commit.
 
-The analyses take trace data, not paths. A standalone command reads its
-trace file once, while its arguments are parsed; demo writes the same
-files as the chain of commands but hands the analyses its run in memory.
+fairness, clock and estimate take the event trace, not a path. A command
+reads its trace file once, while its arguments are parsed; demo writes the
+chain of commands' files but hands the analyses its run in memory.
 
 Config fields can be overridden from the environment with the DCFFAIR_
 prefix, double underscores descending into sections: DCFFAIR_SIM__SEED=7
@@ -32,7 +32,6 @@ import shutil
 import sys
 import tempfile
 import time
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -219,20 +218,27 @@ def _jobs(arg: str) -> int:
     return int(arg)
 
 
-def _trace_file(read):
-    """An argparse type: the named trace file, checked and read by read."""
-    def parse(arg: str):
-        if (path := Path(arg)).is_file():
-            return read(path)
+def _event_trace(arg: str) -> traceio.EventTrace:
+    """An argparse type: the named event trace file, read and checked."""
+    if not (path := Path(arg)).is_file():
         raise ConfigError(f"input file not found: {path}")
-    return parse
+    try:
+        return traceio.read_event_trace_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: "
+                          f"{exc.strerror or exc}") from None
 
 
-def _check_stations(what: str, stations: np.ndarray, n: int) -> None:
-    """Raise naming the first of the trace's stations outside 0..n-1."""
-    outside = stations[(stations < 0) | (stations >= n)]
-    if outside.size:
-        raise TraceFormatError(f"{what} {outside[0]} is outside 0..{n - 1}")
+def _check_successes(events: traceio.EventTrace, n: int) -> None:
+    """Raise naming the first event line with a station outside 0..n-1 or
+    a departure_us below the previous row's: rows are in success order."""
+    station, departure = events.station, events.departure
+    early = np.diff(departure, prepend=-np.inf) < 0.0
+    for k in np.flatnonzero((station < 0) | (station >= n) | early)[:1]:
+        raise TraceFormatError(f"event trace line {k + 2}: " + (
+            f"departure_us {departure[k]}, expected >= {departure[k - 1]}, "
+            "the previous row's" if early[k] else
+            f"station {station[k]}, expected 0..{n - 1}"))
 
 
 def _json_text(path: Path, payload: dict) -> str:
@@ -344,7 +350,7 @@ def cmd_model(sim_cfg: simmod.SimConfig, settings: dict) -> Outputs:
 
 
 def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
-                 owners: np.ndarray | None = None) -> Outputs:
+                 events: traceio.EventTrace | None = None) -> Outputs:
     section = settings["fairness"]
     _, dist = _tagged_model(sim_cfg.station_params())
     tagged, contender, l = (section["tagged"], section["contender"],
@@ -355,10 +361,10 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
     report = {"tagged": tagged, "contender": contender, "l": l,
               "beta": cpmf.beta, "k_max": cpmf.k_max,
               "tail_mass": cpmf.tail_mass, "mean": mean, "variance": variance}
-    if owners is not None:
-        _check_stations("ownership owner_id", owners, sim_cfg.n)
-        stats = [fairmod.windowed_fairness(owners, wl, n_stations=sim_cfg.n)
-                 for wl in section["window_lens"] if owners.size >= wl]
+    if events is not None:
+        _check_successes(events, sim_cfg.n)
+        stats = [fairmod.windowed_fairness(events.station, wl, sim_cfg.n)
+                 for wl in section["window_lens"] if len(events) >= wl]
         report["windows"] = [
             {name: getattr(s, name) for name in
              ("window_len", "jain_mean", "jain_p05", "jain_p95")}
@@ -370,22 +376,19 @@ def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
 
 
 def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict,
-              trace: traceio.SlotTrace | None = None) -> Outputs:
+              events: traceio.EventTrace | None = None) -> Outputs:
     if sim_cfg.mode != "saturated":  # the references assume a backlog
         raise ConfigError(f"sim.mode is {sim_cfg.mode!r}, but clock "
                           "compares with the saturated model only")
-    if trace is None:
-        raise ConfigError("clock analysis needs --slot-trace")
-    success = trace.codes == traceio.SUCCESS
-    _check_stations("slot trace owner", trace.owners[success], sim_cfg.n)
-    _check_stations("slot trace collider", np.fromiter(
-        chain.from_iterable(trace.colliders), np.int64), sim_cfg.n)
+    if events is None:
+        raise ConfigError("clock analysis needs --event-trace")
+    _check_successes(events, sim_cfg.n)
     section = settings["clock"]
     tagged = section["tagged"]
     _, dist = _tagged_model(sim_cfg.station_params())
     model = netcalc.increment_model_from_slots(dist, tagged)
     fair_increment, _ = netcalc.increment_moments(model)
-    ct = clockmod.dcf_clock(trace, tagged, fair_increment)
+    ct = clockmod.dcf_clock(events, tagged, fair_increment)
     # GPS at the rate the DCF delivers, in packets/s (1-bit packets): every
     # station holds n_packets unit packets at t=0 with equal weights, so GPS
     # serves each at capacity/n and finishes packet j at j*n/capacity.
@@ -492,12 +495,13 @@ def cmd_demo(seed: int | None = None) -> Outputs:
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
     files, lines = cmd_simulate(sim_cfg, settings)
+    events = files.get("event_trace.csv")
     for more, more_lines in (
             cmd_model(sim_cfg, settings),
-            cmd_fairness(sim_cfg, settings, files["ownership.csv"]),
-            cmd_clock(sim_cfg, settings, files.get("slot_trace.csv")),
+            cmd_fairness(sim_cfg, settings, events),
+            cmd_clock(sim_cfg, settings, events),
             cmd_servicecurve(sim_cfg, settings),
-            cmd_estimate(sim_cfg, settings, files.get("event_trace.csv"))):
+            cmd_estimate(sim_cfg, settings, events)):
         files.update(more)
         lines += more_lines
     return {"config.json": config, **files}, lines
@@ -507,6 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcffair", description=(
         "DCF fairness calculus: simulate, model, and analyze"))
     sub = parser.add_subparsers(dest="command", required=True)
+    trace = ("--event-trace", dict(type=_event_trace, help="event trace CSV"))
     # command, the config section it reads besides sim and mac, help, and
     # its one option of its own, passed to cmd_<command> after settings
     for name, section, text, option, spec in (
@@ -514,18 +519,15 @@ def _build_parser() -> argparse.ArgumentParser:
              dict(type=_jobs, default=1, help="parallel replications")),
             ("model", None, "analytical fixed point and rates", None, None),
             ("fairness", "fairness", "conditional pmf and Jain windows",
-             "--ownership", dict(type=_trace_file(traceio.read_ownership_csv),
-                                 help="ownership CSV for Jain windows")),
+             *trace),
             ("clock", "clock", "departure clock vs GPS reference",
-             "--slot-trace", dict(type=_trace_file(
-                 traceio.read_slot_trace_csv), help="slot trace CSV")),
+             *trace),
             ("servicecurve", "service_curve",
              "stochastic service curve and bounds", "--plot-data",
              dict(action="store_true",
                   help="also write plot_envelope.csv (j, t_eps_us)")),
             ("estimate", "estimate", "passive fair-rate estimate",
-             "--event-trace", dict(type=_trace_file(
-                 traceio.read_event_trace_csv), help="event trace CSV")),
+             *trace),
             ("demo", None, "small end-to-end pipeline", None, None)):
         p = sub.add_parser(name, help=text)
         p.set_defaults(sections=(section,) if section else (), option=None)

@@ -4,11 +4,11 @@ The fluid GPS reference serves every backlogged station at rate C * phi_i /
 sum_{j in B} phi_j whenever B is the backlogged set, which is perfectly
 fair on any time scale. It runs in virtual time and reports its busy time
 as maximal intervals of constant B. The departure clock decomposes the
-tagged station's packet departures into T_j = T_{j-1} + I_j, where I_j sums
-the slot durations strictly after the (j-1)-th tagged success up to and
-including the j-th; subtracting a fair increment leaves per-packet error
-terms e_j = I_j - fair_increment whose sample mean vanishes when the fair
-increment matches the true mean service spacing.
+tagged station's packet departures into T_j = T_{j-1} + I_j, with T_j its
+j-th departure in the event trace and I_j the time since the one before;
+subtracting a fair increment leaves per-packet error terms e_j = I_j -
+fair_increment whose sample mean vanishes when the fair increment matches
+the true mean service spacing.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, EmptyClockError
-from .traceio import SUCCESS, SlotTrace
+from .errors import AlignmentError, EmptyClockError, TraceFormatError
+from .traceio import EventTrace
 
 
 @dataclass(frozen=True)
@@ -164,31 +164,28 @@ def gps_finish_times(arrivals: Sequence[Sequence[tuple[float, float]]],
         finish, np.searchsorted(station, np.arange(1, n))), intervals)
 
 
-def dcf_clock(slot_trace: SlotTrace, tagged: int,
+def dcf_clock(events: EventTrace, tagged: int,
               fair_increment: float) -> ClockTrace:
-    """Departure clock of the tagged station over a slot trace.
+    """Departure clock of the tagged station over an event trace.
 
-    fair_increment is the reference spacing subtracted from every
-    increment; use the analytical mean increment for zero-mean error terms,
-    or any user-chosen value for sensitivity studies. Raises
-    EmptyClockError when the tagged station never succeeds, as in an empty
-    trace.
+    T_j is the station's j-th departure_us as an int64; TraceFormatError
+    names one that is not whole or not below 2^63 in size. fair_increment is
+    subtracted from every increment: the analytical mean increment gives
+    zero-mean error terms, another value a sensitivity study. Raises
+    EmptyClockError when the tagged station never succeeds.
     """
-    is_tagged_success = (slot_trace.codes == SUCCESS) & (slot_trace.owners == tagged)
-    if not np.any(is_tagged_success):
-        raise EmptyClockError(
-            f"station {tagged} never succeeds in this trace"
-        )
-    cumulative = np.cumsum(slot_trace.durations)
-    departures = cumulative[is_tagged_success]
+    rows = np.flatnonzero(events.station == tagged)
+    if not rows.size:
+        raise EmptyClockError(f"station {tagged} never succeeds in this trace")
+    times = events.departure[rows]
+    for k in np.flatnonzero((times != np.trunc(times))
+                            | ~(np.abs(times) < 2.0 ** 63))[:1]:
+        raise TraceFormatError(f"event trace line {rows[k] + 2}: departure_us "
+                               f"{times[k]}, expected whole microseconds")
+    departures = times.astype(np.int64)
     increments = np.diff(departures, prepend=np.int64(0))
-    errors = increments.astype(float) - fair_increment
-    return ClockTrace(
-        departures=departures,
-        increments=increments,
-        fair_increment=fair_increment,
-        errors=errors,
-    )
+    return ClockTrace(departures, increments, fair_increment,
+                      increments.astype(float) - fair_increment)
 
 
 def clock_vs_gps(clock: ClockTrace,

@@ -260,10 +260,15 @@ def solve_attempt_fixed_point_vector(
     for iteration in range(1, max_iterations + 1):
         one_minus = 1.0 - taus
         prod_all = np.prod(one_minus)
-        p = 1.0 - prod_all / one_minus  # p_i over prod_{j != i}
+        if prod_all == 0.0:  # tau_i = 1, a window of 1: no 0/0 for its p_i
+            p = 1.0 - np.array([np.prod(np.delete(one_minus, i)) if x == 0.0
+                                else prod_all / x for i, x in
+                                enumerate(one_minus.tolist())])
+        else:
+            p = 1.0 - prod_all / one_minus  # p_i over prod_{j != i}
         clamped = np.minimum(p, 1.0 - 1e-15)
         outside = ~((clamped >= 0.0) & (clamped < 1.0))
-        if outside.any():  # nan: a station with tau = 1 makes its p 0/0
+        if outside.any():
             i = int(np.argmax(outside))
             raise SolverError(f"station {i}'s collision probability is "
                               f"{clamped[i]}, not in [0, 1): degenerate "

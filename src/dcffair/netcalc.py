@@ -28,8 +28,8 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (ConsistencyError, DivergenceError, InstabilityError,
-                     is_finite)
+from .errors import (ConditioningError, ConsistencyError, DivergenceError,
+                     InstabilityError, is_finite)
 from .mac import SlotDistribution
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,8 +91,12 @@ class ArrivalEnvelope:
 
 def increment_model_from_slots(dist: SlotDistribution,
                                tagged: int) -> IncrementModel:
-    """Build the tagged increment model from a per-slot outcome distribution."""
+    """Build the tagged increment model from a per-slot outcome distribution.
+    Raises ConditioningError if the tagged station never succeeds."""
     p_tag = float(dist.p_succ[tagged])
+    if not p_tag > 0.0:  # starved, as next to a station with a window of 1
+        raise ConditioningError(f"station {tagged}'s per-slot success "
+                                f"probability is {p_tag}, so it never departs")
     if p_tag >= 1.0:
         return IncrementModel(p_tag=1.0, d_succ=float(dist.d_succ),
                               cond_values=np.zeros(0), cond_probs=np.zeros(0))

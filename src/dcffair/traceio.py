@@ -119,8 +119,10 @@ class SlotTrace:
 
 @dataclass
 class EventTrace:
-    """Departure events: (station, packet_id, arrival, departure), in
-    departure order. FIFO per station."""
+    """Departure events: (station, packet_id, arrival, departure), FIFO per
+    station. The simulator writes one per success, in channel order, so
+    station is the order of successes and departure the end of each; the
+    fairness windows and the departure clock read them so."""
 
     station: np.ndarray     # int32
     packet_id: np.ndarray   # int64

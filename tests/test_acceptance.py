@@ -176,9 +176,9 @@ def test_criterion_6_dcf_clock():
     model = increment_model_from_slots(dist, 0)
     mean_i, _ = increment_moments(model)
     res = run(SimConfig(n=n, params=VALIDATION_PARAMS, horizon_slots=10 ** 9,
-                        seed=3003, record_event_trace=False),
+                        seed=3003, record_slot_trace=False),
               stop_after_tagged=(0, 100_000))
-    ct = dcf_clock(res.slots, 0, mean_i)
+    ct = dcf_clock(res.events, 0, mean_i)
     telescoping = int(ct.increments.sum()) == int(ct.departures[-1])
     se = float(np.std(ct.errors, ddof=1)) / math.sqrt(ct.errors.size)
     z = float(np.mean(ct.errors)) / se

@@ -8,11 +8,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcffair import cli, sim, traceio
+from dcffair import cli, fairness, sim, traceio
 from dcffair.cli import main
 
 BASE_CONFIG = {
@@ -150,7 +151,7 @@ def test_fairness_homogeneous_first_row(config_path, tmp_path):
     assert main(["simulate", "--config", str(config_path),
                  "--out", str(out)]) == 0
     assert main(["fairness", "--config", str(config_path), "--out", str(out),
-                 "--ownership", str(out / "ownership.csv")]) == 0
+                 "--event-trace", str(out / "event_trace.csv")]) == 0
     rows = (out / "fairness_pmf.csv").read_text().strip().splitlines()
     assert rows[0] == "k,probability"
     k, p = rows[1].split(",")
@@ -165,7 +166,7 @@ def test_clock_outputs(config_path, tmp_path):
     assert main(["simulate", "--config", str(config_path),
                  "--out", str(out)]) == 0
     assert main(["clock", "--config", str(config_path), "--out", str(out),
-                 "--slot-trace", str(out / "slot_trace.csv")]) == 0
+                 "--event-trace", str(out / "event_trace.csv")]) == 0
     summary = json.loads((out / "clock_summary.json").read_text())
     assert summary["packets"] > 0
     header = (out / "clock.csv").read_text().splitlines()[0]
@@ -251,7 +252,8 @@ def traces(tmp_path_factory) -> Path:
     return out
 
 
-DEGENERATE_MAC = [{"cw_min": 1, "cw_max": 2}, {"cw_min": 16}]
+# a window of 1 attempts in every slot, so station 0 never succeeds
+DEGENERATE_MAC = [{"cw_min": 16}, {"cw_min": 1, "cw_max": 1}, {"cw_min": 16}]
 
 # id: (command, changes to BASE_CONFIG as in BAD_INPUTS below, None or
 # (trace option, the line of the simulated trace made a bad row, or None
@@ -259,22 +261,22 @@ DEGENERATE_MAC = [{"cw_min": 1, "cw_max": 2}, {"cw_min": 16}]
 FAILURES = {
     **{f"{command}-overflow": (command, {"payload_bits": 1e308}, None, 3)
        for command in OVERFLOWS},
-    # a cw_min 1 station attempts in every slot at stage 0: its p is 0/0
-    **{f"{command}-degenerate-mac": (command, {"mac": DEGENERATE_MAC,
-                                               "sim.n": 2}, None, 3)
-       for command in ("model", "fairness", "servicecurve")},
+    **{f"{command}-degenerate-mac": (command, {"mac": DEGENERATE_MAC},
+                                     trace, 3)
+       for command, trace in (("model", None), ("fairness", None),
+                              ("servicecurve", None),
+                              ("clock", ("--event-trace", None)))},
     "servicecurve-instability": (
         "servicecurve", {"service_curve.arrival.rho_pps": 1e9}, None, 3),
     "demo-instability": ("demo", {"DCFFAIR_SERVICE_CURVE__ARRIVAL":
                                   '{"sigma_b": 5.0, "rho_pps": 1e9}'},
                          None, 3),
     "demo-non-finite-config": ("demo", {"DCFFAIR_SCENARIO": "NaN"}, None, 2),
-    "clock-bad-row": ("clock", {}, ("--slot-trace", 4000), 2),
-    "estimate-bad-row": ("estimate", {}, ("--event-trace", 2000), 2),
-    "fairness-bad-row": ("fairness", {}, ("--ownership", 2000), 2),
-    # the trace reads, but the owner is outside the config's stations
+    **{f"{command}-bad-row": (command, {}, ("--event-trace", 2000), 2)
+       for command in ("clock", "estimate", "fairness")},
+    # the trace reads, but a success's station is outside the config's
     "fairness-owner-beyond-n": ("fairness", {"sim.n": 2},
-                                ("--ownership", None), 2),
+                                ("--event-trace", None), 2),
 }
 
 
@@ -322,7 +324,7 @@ def test_clock_does_not_read_payload_bits(traces, tmp_path):
         path, out = tmp_path / "cfg.json", tmp_path / str(bits)
         path.write_text(json.dumps(config))
         assert main(["clock", "--config", str(path), "--out", str(out),
-                     "--slot-trace", str(traces / "slot_trace.csv")]) == 0
+                     "--event-trace", str(traces / "event_trace.csv")]) == 0
         listings.append(_listing(out))
     assert listings[0] == listings[1] == listings[2]
 
@@ -393,9 +395,9 @@ def test_model_rejects_mixed_frame_timing(payload_durs, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
-    for argv in (["model"], ["servicecurve"],
-                 ["fairness", "--ownership", str(out / "ownership.csv")],
-                 ["clock", "--slot-trace", str(out / "slot_trace.csv")]):
+    trace = ["--event-trace", str(out / "event_trace.csv")]
+    for argv in (["model"], ["servicecurve"], ["fairness", *trace],
+                 ["clock", *trace]):
         assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -411,15 +413,32 @@ def test_missing_config_exit_2(tmp_path, capsys):
     _single_error_line(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command, option", [("fairness", "--ownership"),
-                                             ("clock", "--slot-trace"),
-                                             ("estimate", "--event-trace")])
+TRACE_COMMANDS = [(command, "--event-trace")
+                  for command in ("fairness", "clock", "estimate")]
+
+
+@pytest.mark.parametrize("command, option", TRACE_COMMANDS)
 def test_missing_trace_exit_2(command, option, config_path, tmp_path,
                               capsys):
     for missing in (tmp_path / "nope.csv", tmp_path):
         assert main([command, "--config", str(config_path), "--out",
                      str(tmp_path), option, str(missing)]) == 2
         assert "not found" in _single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, option", TRACE_COMMANDS)
+def test_unreadable_trace_exit_2(command, option, traces, tmp_path, capsys,
+                                 monkeypatch):
+    # chmod denies no read to root, so the reader fails as the OS would
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    trace = traces / "event_trace.csv"
+    monkeypatch.setattr(traceio, "read_event_trace_csv", unreadable)
+    assert main([command, "--config", str(traces / "config.json"), "--out",
+                 str(tmp_path), option, str(trace)]) == 2
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: cannot read {trace}: Permission denied")
 
 
 def test_malformed_config_reports_location(tmp_path, capsys):
@@ -576,12 +595,9 @@ def test_exit_code_contract_under_fuzz(changes, macs):
 
 
 # id: (command, trace option, index of the corrupted line); BASE_CONFIG's
-# run has 20,000 slots in 5,582 slot trace rows, and 2,830 successes
-CORRUPT_TRACES = {
-    "clock---slot-trace": ("clock", "--slot-trace", 4000),
-    "fairness---ownership": ("fairness", "--ownership", 2000),
-    "estimate---event-trace": ("estimate", "--event-trace", 2000),
-}
+# run has 2,830 successes
+CORRUPT_TRACES = {f"{command}-{option}": (command, option, 2000)
+                  for command, option in TRACE_COMMANDS}
 
 
 @pytest.mark.parametrize("command, option, row", CORRUPT_TRACES.values(),
@@ -605,8 +621,11 @@ def test_corrupt_trace_exit_2(command, option, row, config_path, tmp_path,
     assert lines[0].startswith(f"error: {trace}:{row + 1}: bad row")
 
 
+EVENT_HEADER = "station,packet_id,arrival_us,departure_us"
+
 # id: (the last row of a slot trace, the reason named after its line);
-# the rows before it are valid and the prefix sums hold
+# the rows before it are valid and the prefix sums hold. No command reads
+# a slot trace; its reader raises TraceFormatError, which exits 2.
 IMPOSSIBLE_SLOTS = {
     "duration-0": ("3,1000,success,2,0", "duration_us 0, expected >= 1"),
     "duration-negative": ("3,1000,success,2,-20",
@@ -631,42 +650,64 @@ IMPOSSIBLE_SLOTS = {
 
 @pytest.mark.parametrize("row, reason", IMPOSSIBLE_SLOTS.values(),
                          ids=IMPOSSIBLE_SLOTS.keys())
-def test_impossible_slot_exit_2(row, reason, config_path, tmp_path, capsys):
+def test_impossible_slot_exit_2(row, reason, tmp_path):
     trace = tmp_path / "slot_trace.csv"
     trace.write_text("\r\n".join([
         "slot_index,wallclock_start_us,outcome,owner_or_colliders,"
         "duration_us", "0,0,success,1,500", "1,500,idle,1,20",
         "2,520,collision,0;2,480", row]) + "\r\n")
-    assert main(["clock", "--config", str(config_path), "--out",
-                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 2
-    line = _single_error_line(capsys.readouterr().err)
-    assert line.startswith(f"error: {trace}:5: {reason}")
+    with pytest.raises(traceio.TraceFormatError) as info:
+        traceio.read_slot_trace_csv(trace)
+    assert str(info.value).startswith(f"{trace}:5: {reason}")
 
 
-# id: (the last row of a slot trace, the value and range named); the file
-# is valid, but BASE_CONFIG has stations 0..2 only
-STATIONS_BEYOND_N = {
-    "owner-3": ("3,1000,success,3,500", "slot trace owner 3 is outside 0..2"),
-    "collider-7": ("3,1000,collision,0;7,480",
-                   "slot trace collider 7 is outside 0..2"),
-}
+def _event_trace_with(last_row: str, path: Path) -> Path:
+    """An event trace of three valid rows and last_row, at line 5."""
+    path.write_text("\r\n".join([
+        EVENT_HEADER, "0,0,0,500", "1,5,100,1000", "0,1,200,1500",
+        last_row]) + "\r\n")
+    return path
+
+
+# id: (the last row of an event trace, the value and range named after its
+# line); the file reads, but BASE_CONFIG has stations 0..2 only
+STATIONS_BEYOND_N = {"owner-3": ("3,0,600,1600", "station 3, expected 0..2")}
 
 
 @pytest.mark.parametrize("row, reason", STATIONS_BEYOND_N.values(),
                          ids=STATIONS_BEYOND_N.keys())
 def test_clock_station_outside_config_exit_2(row, reason, config_path,
                                              tmp_path, capsys):
-    trace = tmp_path / "slot_trace.csv"
-    trace.write_text("\r\n".join([
-        "slot_index,wallclock_start_us,outcome,owner_or_colliders,"
-        "duration_us", "0,0,success,1,500", "1,500,idle,1,20",
-        "2,520,collision,0;2,480", row]) + "\r\n")
+    trace = _event_trace_with(row, tmp_path / "event_trace.csv")
     assert main(["clock", "--config", str(config_path), "--out",
-                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 2
-    assert _single_error_line(capsys.readouterr().err) == f"error: {reason}"
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 2
+    assert _single_error_line(capsys.readouterr().err) == (
+        f"error: event trace line 5: {reason}")
 
 
-EVENT_HEADER = "station,packet_id,arrival_us,departure_us"
+@pytest.mark.parametrize("command", ["clock", "fairness"])
+def test_departure_order_checked_exit_2(command, config_path, tmp_path,
+                                        capsys):
+    # the file reads, as estimate needs FIFO order per station only, but
+    # fairness and clock take its rows as the order of successes
+    trace = _event_trace_with("2,0,600,1400", tmp_path / "event_trace.csv")
+    assert main([command, "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 2
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: event trace line 5: departure_us 1400.0, expected >= "
+        "1500.0, the previous row's")
+
+
+def test_clock_fractional_departure_exit_2(config_path, tmp_path, capsys):
+    # clock.csv writes T_j as integer microseconds
+    trace = _event_trace_with("0,2,600,1600.5", tmp_path / "event_trace.csv")
+    assert main(["clock", "--config", str(config_path), "--out",
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 2
+    assert _single_error_line(capsys.readouterr().err) == (
+        "error: event trace line 5: departure_us 1600.5, expected whole "
+        "microseconds")
+
+
 # id: (the last row of an event trace, the reason named after its line);
 # the rows before it are valid
 IMPOSSIBLE_EVENTS = {
@@ -724,6 +765,22 @@ def test_estimate_ignores_stations_beyond_config(config_path, tmp_path):
     assert estimates[0] == estimates[1]
 
 
+def test_estimate_reads_a_capture_grouped_by_station(traces, tmp_path):
+    # estimate needs FIFO order within each station only, so a capture
+    # sorted by station reads as the simulated order does
+    lines = (traces / "event_trace.csv").read_text().splitlines()
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text("\n".join(lines[:1] + sorted(
+        lines[1:], key=lambda line: int(line.split(",")[0]))) + "\n")
+    estimates = []
+    for path in (traces / "event_trace.csv", grouped):
+        out = tmp_path / path.stem
+        assert main(["estimate", "--config", str(traces / "config.json"),
+                     "--out", str(out), "--event-trace", str(path)]) == 0
+        estimates.append((out / "estimate.json").read_bytes())
+    assert estimates[0] == estimates[1]
+
+
 def _single_error_line(err: str) -> str:
     assert "Traceback" not in err
     lines = err.strip().splitlines()
@@ -732,11 +789,10 @@ def _single_error_line(err: str) -> str:
 
 
 def test_clock_on_header_only_trace_exit_3(config_path, tmp_path, capsys):
-    trace = tmp_path / "slot_trace.csv"
-    traceio.write_slot_trace_csv(traceio.SlotTrace.from_lists([], [], []),
-                                 trace)
+    trace = tmp_path / "event_trace.csv"
+    trace.write_text(EVENT_HEADER + "\r\n")
     assert main(["clock", "--config", str(config_path), "--out",
-                 str(tmp_path / "out"), "--slot-trace", str(trace)]) == 3
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 3
     assert "never succeeds" in _single_error_line(capsys.readouterr().err)
 
 
@@ -752,12 +808,15 @@ def test_owner_outside_stations_exit_2(owner, window_lens, tmp_path,
         config["fairness"]["window_lens"] = window_lens
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    ownership = tmp_path / "ownership.csv"
-    traceio.write_ownership_csv([0, 1, owner, 2, 0], ownership)
+    trace = tmp_path / "event_trace.csv"
+    trace.write_text("\n".join([EVENT_HEADER] + [
+        f"{station},{j},0,{100 * (j + 1)}"
+        for j, station in enumerate([0, 1, owner, 2, 0])]) + "\n")
     assert main(["fairness", "--config", str(path), "--out",
-                 str(tmp_path / "out"), "--ownership", str(ownership)]) == 2
+                 str(tmp_path / "out"), "--event-trace", str(trace)]) == 2
+    # the reader rejects a negative station, fairness one beyond sim.n
     line = _single_error_line(capsys.readouterr().err)
-    assert f"owner_id {owner} " in line and "0..2" in line
+    assert f"4: station {owner}, expected " in line
 
 
 def test_env_override(config_path, tmp_path, monkeypatch):
@@ -785,13 +844,10 @@ def test_demo_equals_chain_of_commands(tmp_path):
     demo, chain = tmp_path / "demo", tmp_path / "chain"
     assert main(["demo", "--out", str(demo), "--seed", "5"]) == 0
     common = ["--config", str(demo / "config.json"), "--out", str(chain)]
-    for command, *trace in (["simulate"], ["model"],
-                            ["fairness", "--ownership", "ownership.csv"],
-                            ["clock", "--slot-trace", "slot_trace.csv"],
-                            ["servicecurve"],
-                            ["estimate", "--event-trace", "event_trace.csv"]):
-        option = [trace[0], str(chain / trace[1])] if trace else []
-        assert main([command] + common + option) == 0
+    trace = ["--event-trace", str(chain / "event_trace.csv")]
+    for argv in (["simulate"], ["model"], ["fairness", *trace],
+                 ["clock", *trace], ["servicecurve"], ["estimate", *trace]):
+        assert main(argv + common) == 0
     names = sorted(p.name for p in chain.iterdir())
     assert names == sorted(p.name for p in demo.iterdir()
                            if p.name != "config.json")
@@ -799,12 +855,72 @@ def test_demo_equals_chain_of_commands(tmp_path):
         assert (demo / name).read_bytes() == (chain / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("run", ["demo-3", "demo-7", "demo-11", "saturated",
+                                 "poisson"])
+def test_event_trace_analyses_match_slot_and_ownership_files(run, tmp_path):
+    # fairness and clock read the event trace; their results equal what the
+    # same run's ownership CSV and slot trace give, computed here directly
+    traces, out = tmp_path / "traces", tmp_path / "out"
+    if run.startswith("demo"):
+        assert main(["demo", "--out", str(traces), "--seed", run[5:]]) == 0
+        path = traces / "config.json"
+    else:
+        config = copy.deepcopy(BASE_CONFIG)
+        if run == "poisson":
+            config["sim"].update(mode="poisson", arrival_rate_pps=20.0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out",
+                     str(traces)]) == 0
+    config = json.loads(path.read_text())
+    n, window_lens = config["sim"]["n"], config["fairness"]["window_lens"]
+    argv = ["--config", str(path), "--out", str(out), "--event-trace",
+            str(traces / "event_trace.csv")]
+    assert main(["fairness", *argv]) == 0
+    owners = traceio.read_ownership_csv(traces / "ownership.csv")
+    stats = [fairness.windowed_fairness(owners, wl, n_stations=n)
+             for wl in window_lens if owners.size >= wl]
+    assert json.loads((out / "fairness.json").read_text())["windows"] == [
+        {name: getattr(s, name) for name in
+         ("window_len", "jain_mean", "jain_p05", "jain_p95")}
+        for s in stats]
+    if run == "poisson":  # clock compares with the saturated model only
+        return
+    assert main(["clock", *argv]) == 0
+    summary = json.loads((out / "clock_summary.json").read_text())
+    slots = traceio.read_slot_trace_csv(traces / "slot_trace.csv")
+    tagged_success = ((slots.codes == traceio.SUCCESS)
+                      & (slots.owners == config["clock"]["tagged"]))
+    t_j = np.cumsum(slots.durations)[tagged_success]
+    i_j = np.diff(t_j, prepend=0)
+    e_j = i_j.astype(float) - summary["fair_increment_us"]
+    traceio.write_csv(tmp_path / "clock.csv", {
+        "j": range(1, t_j.size + 1), "T_j_us": t_j, "I_j_us": i_j,
+        "e_j_us": e_j})
+    assert (out / "clock.csv").read_bytes() == (
+        tmp_path / "clock.csv").read_bytes()
+    gps = np.arange(1, t_j.size + 1) * n / summary["gps_capacity_pps"] * 1e6
+    assert (summary["packets"], summary["error_mean_us"],
+            summary["deviation_vs_gps_us"]["mean"]) == (
+        t_j.size, float(np.mean(e_j)), float(np.mean(t_j - gps)))
+
+
 def test_demo_reads_no_trace_file(tmp_path, monkeypatch):
+    # nor does any command read a slot trace or an ownership CSV back
     def unread(path):
-        raise AssertionError(f"demo read back {path}")
+        raise AssertionError(f"read back {path}")
 
     monkeypatch.setitem(cli.DEMO_CONFIG["sim"], "horizon_slots", 5000)
-    for name in ("read_slot_trace_csv", "read_event_trace_csv",
-                 "read_ownership_csv"):
+    for name in ("read_slot_trace_csv", "read_ownership_csv",
+                 "read_event_trace_csv"):
         monkeypatch.setattr(traceio, name, unread)
-    assert main(["demo", "--out", str(tmp_path)]) == 0
+    demo, chain = tmp_path / "demo", tmp_path / "chain"
+    assert main(["demo", "--out", str(demo)]) == 0
+    monkeypatch.undo()  # the event trace only: the commands read it
+    for name in ("read_slot_trace_csv", "read_ownership_csv"):
+        monkeypatch.setattr(traceio, name, unread)
+    common = ["--config", str(demo / "config.json"), "--out", str(chain)]
+    trace = ["--event-trace", str(chain / "event_trace.csv")]
+    for argv in (["simulate"], ["model"], ["fairness", *trace],
+                 ["clock", *trace], ["servicecurve"], ["estimate", *trace]):
+        assert main(argv + common) == 0

@@ -6,7 +6,8 @@ import pytest
 from dcffair import (
     AlignmentError,
     EmptyClockError,
-    SlotTrace,
+    EventTrace,
+    TraceFormatError,
     clock_vs_gps,
     dcf_clock,
     gps_finish_times,
@@ -15,6 +16,12 @@ from dcffair import (
 
 def saturated_arrivals(n, packets, size=1.0):
     return [[(0.0, size)] * packets for _ in range(n)]
+
+
+def departures(stations, times):
+    """An event trace of successes by stations, ending at times (us)."""
+    return EventTrace.from_lists(stations, range(len(stations)),
+                                 [0.0] * len(stations), times)
 
 
 class TestGps:
@@ -102,7 +109,7 @@ class TestGps:
 
 class TestDcfClock:
     def test_cumulative_departure_arithmetic(self):
-        trace = SlotTrace.from_lists([0, 1, 1], [-1, 1, 0], [20, 500, 500])
+        trace = departures([1, 0], [520, 1020])
         ct = dcf_clock(trace, tagged=0, fair_increment=1000.0)
         assert ct.departures.tolist() == [1020]
         assert ct.increments.tolist() == [1020]
@@ -110,30 +117,37 @@ class TestDcfClock:
 
     def test_deterministic_trace_zero_errors(self):
         # lone station, zero backoff: every increment equals d_succ
-        trace = SlotTrace.from_lists([1] * 6, [0] * 6, [500] * 6)
+        trace = departures([0] * 6, np.arange(1, 7) * 500.0)
         ct = dcf_clock(trace, tagged=0, fair_increment=500.0)
         assert np.all(ct.errors == 0.0)
         assert ct.departures.tolist() == [500, 1000, 1500, 2000, 2500, 3000]
 
     def test_telescoping_exact(self, rng):
-        codes = rng.choice([0, 1], p=[0.7, 0.3], size=5000)
-        owners = np.where(codes == 1, rng.integers(0, 3, 5000), -1)
-        durations = np.where(codes == 1, 500, 20)
-        trace = SlotTrace.from_lists(codes, owners, durations)
-        ct = dcf_clock(trace, tagged=1, fair_increment=123.0)
+        owners = rng.integers(0, 3, 1500)
+        times = np.cumsum(500 + 20 * rng.geometric(0.3, 1500)).astype(float)
+        ct = dcf_clock(departures(owners, times), tagged=1,
+                       fair_increment=123.0)
         assert int(ct.increments.sum()) == int(ct.departures[-1])
+        assert ct.departures.dtype == np.int64
 
     def test_missing_tagged_station(self):
         # an empty trace is the case where the tagged station never succeeds
-        for trace in (SlotTrace.from_lists([1, 0], [1, -1], [500, 20]),
-                      SlotTrace.from_lists([], [], [])):
+        for trace in (departures([1], [500.0]), departures([], [])):
             with pytest.raises(EmptyClockError):
                 dcf_clock(trace, tagged=0, fair_increment=100.0)
+
+    @pytest.mark.parametrize("time", [1500.5, 2.0 ** 63, -2.0 ** 64])
+    def test_departure_not_whole_microseconds(self, time):
+        # T_j is written as an integer: a fraction, or a value int64 cannot
+        # hold, names the event's line
+        trace = departures([0, 1, 0], [500.0, 1000.0, time])
+        with pytest.raises(TraceFormatError, match="line 4: departure_us"):
+            dcf_clock(trace, tagged=0, fair_increment=100.0)
 
 
 class TestClockVsGps:
     def test_identical_series_zero_deviation(self):
-        trace = SlotTrace.from_lists([1] * 4, [0] * 4, [1000] * 4)
+        trace = departures([0] * 4, np.arange(1, 5) * 1000.0)
         ct = dcf_clock(trace, tagged=0, fair_increment=1000.0)
         gps = gps_finish_times(saturated_arrivals(1, 4), [1.0],
                                capacity=1000.0)  # 1 packet per 1000 us
@@ -142,7 +156,7 @@ class TestClockVsGps:
         assert summary.max_abs == 0.0
 
     def test_index_range_mismatch(self):
-        trace = SlotTrace.from_lists([1] * 3, [0] * 3, [1000] * 3)
+        trace = departures([0] * 3, np.arange(1, 4) * 1000.0)
         ct = dcf_clock(trace, tagged=0, fair_increment=1000.0)
         gps = gps_finish_times(saturated_arrivals(1, 5), [1.0],
                                capacity=1000.0)
@@ -164,9 +178,9 @@ class TestClockVsGps:
             increment_model_from_slots(dist, 0))
         res = run(SimConfig(n=n, params=VALIDATION_PARAMS,
                             horizon_slots=10 ** 9, seed=31,
-                            record_event_trace=False),
+                            record_slot_trace=False),
                   stop_after_tagged=(0, packets))
-        ct = dcf_clock(res.slots, 0, mean_i)
+        ct = dcf_clock(res.events, 0, mean_i)
         tagged_pps = 1e6 / mean_i
         gps = gps_finish_times(saturated_arrivals(n, packets), [1.0, 1.0],
                                capacity=n * tagged_pps)
@@ -189,9 +203,9 @@ class TestClockVsGps:
         mean_i, _ = increment_moments(increment_model_from_slots(dist, 0))
         res = run(SimConfig(n=n, params=VALIDATION_PARAMS,
                             horizon_slots=10 ** 9, seed=41,
-                            record_event_trace=False),
+                            record_slot_trace=False),
                   stop_after_tagged=(0, packets))
-        ct = dcf_clock(res.slots, 0, mean_i)
+        ct = dcf_clock(res.events, 0, mean_i)
         gps = gps_finish_times(saturated_arrivals(n, packets),
                                np.ones(n), capacity=n * 1e6 / mean_i)
         summary = clock_vs_gps(ct, gps.finish_times[0])

@@ -5,8 +5,9 @@ names: every iteration calls the scalar chain once per station. The
 solver now evaluates all stations' chains as one array recurrence, with a
 station past its last stage masked by exact 0/1 products, so both must
 give bit-equal taus, p_colls, residual and iteration count, and stop
-wherever the loop stopped: on the same SolverError, or on a SolverError
-naming the station where the loop raised a ValueError for its p.
+wherever the loop stopped on a SolverError. Only where a window of 1 puts
+a station at tau = 1, and the loop's p for it was 0/0, does the solver
+differ: it takes that p from the other stations directly and goes on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dcffair import (
     SolverError,
     VectorAttemptSolution,
     chain_attempt_probability,
+    solve_attempt_fixed_point,
     solve_attempt_fixed_point_vector,
 )
 from dcffair.errors import ConfigError
@@ -156,26 +158,41 @@ def test_bit_equal_on_fifty_backoff_classes():
 
 
 def test_same_error_as_the_loop():
-    # a window of 1 transmits every slot at stage 0, tau = 1: its own p
-    # is 0/0, where the loop raised a ValueError and the solver names the
-    # station as degenerate
-    forced = MacParams(cw_min=1, cw_max=1, max_backoff_stage=0)
-    for params, station in (
-            ([forced, forced], 0), ([MacParams(), forced], 1),
-            ([forced, MacParams(retry_limit=3), MacParams(cw_min=8)], 0),
-            ([MacParams(cw_min=1, cw_max=8, max_backoff_stage=3),
-              MacParams(retry_limit=2)], 0),
-            ([MacParams(cw_min=1, cw_max=2), MacParams(cw_min=16)], 0)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = _outcome(_ref_solve_attempt_fixed_point_vector, params)
-            got = _outcome(solve_attempt_fixed_point_vector, params)
-        assert want == (ValueError, "p must be in [0, 1), got nan")
-        assert got == (SolverError, f"station {station}'s collision "
-                       "probability is nan, not in [0, 1): degenerate "
-                       "backoff parameters")
     # too few iterations: the same SolverError text
     _assert_same([MacParams(cw_min=16), MacParams(cw_min=256)],
                  max_iterations=3)
+
+
+FORCED = MacParams(cw_min=1, cw_max=1, max_backoff_stage=0)
+
+
+@pytest.mark.parametrize("params", [
+    [FORCED, FORCED], [MacParams(), FORCED],
+    [FORCED, MacParams(retry_limit=3), MacParams(cw_min=8)],
+    [MacParams(cw_min=1, cw_max=8, max_backoff_stage=3),
+     MacParams(retry_limit=2)],
+    [MacParams(cw_min=1, cw_max=2), MacParams(cw_min=16)],
+], ids=["forced-pair", "forced-second", "forced-of-three", "cw-1-to-8",
+        "cw-1-to-2"])
+def test_window_of_one_solved(params):
+    # a window of 1 transmits every slot at stage 0, tau = 1, where the
+    # loop's p was 0/0 and it raised a ValueError; the solver reaches a
+    # fixed point, each tau its chain at the others' collision probability
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="got nan"):
+            _ref_solve_attempt_fixed_point_vector(params)
+    sol = solve_attempt_fixed_point_vector(params)  # to tol 1e-12
+    for i, station in enumerate(params):
+        others = np.prod(np.delete(1.0 - sol.taus, i))
+        assert sol.taus[i] == pytest.approx(_ref_chain_attempt_probability(
+            min(1.0 - others, 1.0 - 1e-15), station), abs=1e-11)
+
+
+def test_window_of_one_pair_matches_bisection():
+    params = MacParams(cw_min=1, cw_max=2)
+    sol = solve_attempt_fixed_point_vector([params] * 2)
+    assert sol.taus == pytest.approx(
+        [solve_attempt_fixed_point(params, 2).tau] * 2, abs=1e-9, rel=0)
 
 
 def test_scalar_chain_bit_equal_to_the_loop():

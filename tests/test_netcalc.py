@@ -5,6 +5,7 @@ import pytest
 
 from dcffair import (
     ArrivalEnvelope,
+    ConditioningError,
     ConsistencyError,
     DivergenceError,
     IncrementModel,
@@ -34,6 +35,15 @@ def model_for(n: int, params: MacParams = MacParams()) -> IncrementModel:
     sol = solve_attempt_fixed_point(params, n)
     dist = slot_distribution(np.full(n, sol.tau), params)
     return increment_model_from_slots(dist, 0)
+
+
+def test_starved_station_has_no_increment_model():
+    # next to a station that attempts in every slot, station 1 never
+    # succeeds, and its increments are not defined
+    dist = slot_distribution([1.0, 0.0625], MacParams())
+    assert increment_model_from_slots(dist, 0).p_tag == pytest.approx(0.9375)
+    with pytest.raises(ConditioningError, match="station 1's"):
+        increment_model_from_slots(dist, 1)
 
 
 def sample_increments(model: IncrementModel, size: int,

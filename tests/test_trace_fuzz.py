@@ -1,9 +1,8 @@
 """The exit-code contract under mutated trace files.
 
-Small valid slot, event and ownership traces come from one short run of
-the simulator. Each example rewrites fields of their rows or bytes of the
-file, then runs the command that reads that trace (clock, estimate or
-fairness). Whatever the input, the command exits 0, 2 (input) or 3
+A small valid event trace comes from one short run of the simulator. Each
+example rewrites fields of its rows or bytes of the file, then runs a
+command that reads it (clock, estimate or fairness). Whatever the input, the command exits 0, 2 (input) or 3
 (analytic); a nonzero exit prints exactly one line, starting "error: ",
 and leaves the pre-filled output directory as it was; nothing exits with a
 traceback, and no staging directory is left behind.
@@ -34,9 +33,9 @@ CONFIG = {
 
 # command: (its trace option, the trace file simulate writes)
 COMMANDS = {
-    "clock": ("--slot-trace", "slot_trace.csv"),
+    "clock": ("--event-trace", "event_trace.csv"),
     "estimate": ("--event-trace", "event_trace.csv"),
-    "fairness": ("--ownership", "ownership.csv"),
+    "fairness": ("--event-trace", "event_trace.csv"),
 }
 
 
