@@ -12,12 +12,12 @@ from .errors import (AlignmentError, ConditioningError, ConfigError,
                      ConsistencyError, DivergenceError, EmptyClockError,
                      Error, HorizonNotFoundError, InstabilityError,
                      ModelError, NotEnoughBacklogError, SolverError,
-                     TraceFormatError, TruncationError, UndefinedIndexError)
+                     TraceFormatError, TruncationError)
 from .estimator import (BusyPeriods, ConvergencePoint, RateEstimate,
                         convergence_report, detect_busy_periods,
                         estimate_fair_rate)
 from .fairness import (ConditionalPmf, FairnessWindowStats, conditional_pmf,
-                       empirical_conditional_pmf, jain_index, pmf_moments,
+                       empirical_conditional_pmf, pmf_moments,
                        short_term_horizon, tv_distance, windowed_fairness)
 from .mac import (AttemptSolution, MacParams, SlotDistribution,
                   VectorAttemptSolution, chain_attempt_probability,

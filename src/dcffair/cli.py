@@ -42,8 +42,8 @@ from . import fairness as fairmod
 from . import netcalc
 from . import sim as simmod
 from . import traceio
-from .errors import (ConfigError, Error, ModelError, TraceFormatError,
-                     is_finite, is_int)
+from .errors import (ConditioningError, ConfigError, Error, ModelError,
+                     TraceFormatError, is_finite, is_int)
 from .mac import (MacParams, saturation_throughput, slot_distribution,
                   solve_attempt_fixed_point, solve_attempt_fixed_point_vector)
 
@@ -333,8 +333,11 @@ def cmd_model(sim_cfg: simmod.SimConfig, settings: dict) -> Outputs:
     taus, dist = _tagged_model(sim_cfg.station_params())
     payload_bits = settings["payload_bits"]
     throughput = saturation_throughput(dist, payload_bits)
-    model = netcalc.increment_model_from_slots(dist, 0)
-    mean_i, var_i = netcalc.increment_moments(model)
+    try:
+        mean_i, var_i = netcalc.increment_moments(
+            netcalc.increment_model_from_slots(dist, 0))
+    except ConditioningError:  # station 0 starved: it has no increments
+        mean_i = var_i = None
     report = {
         "n": sim_cfg.n, "tau": taus.tolist(),
         "p_coll": [float(1.0 - np.prod(np.delete(1.0 - taus, i)))

@@ -53,10 +53,6 @@ class ConsistencyError(ModelError):
     """Closed-form and recomputed quantities disagree beyond tolerance."""
 
 
-class UndefinedIndexError(ModelError):
-    """Fairness index of the all-zero allocation is undefined."""
-
-
 class HorizonNotFoundError(ModelError):
     """No window length satisfies the deviation bound within the scan cap."""
 

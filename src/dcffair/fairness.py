@@ -1,4 +1,5 @@
-"""Conditional fairness distribution over success ownership, and Jain's index.
+"""Conditional fairness distribution over success ownership, and windowed
+Jain's index.
 
 Successive successful slots are modeled as i.i.d. ownership draws. Fix a
 tagged station and one contender and keep only the successes belonging to
@@ -24,7 +25,6 @@ from .errors import (
     ConsistencyError,
     HorizonNotFoundError,
     TruncationError,
-    UndefinedIndexError,
     is_finite,
     is_int,
 )
@@ -103,6 +103,16 @@ def _zero_head(l: int, beta: float) -> int:
     return lo
 
 
+def _rise_end(l: int, beta: float) -> int:
+    """Last k, at most _K_CAP, with beta (k + l) >= k + 1 exactly, where the
+    term ratio conditional_pmf's ratio stop tests is >= 1. Rounding is
+    monotone and k + 1 is a float, so a product >= k + 1 rounds to at least
+    k + 1 and its quotient by k + 1 to at least 1.0: up to this k the
+    computed ratio is >= 1.0 too. Below 0 when there is no such k."""
+    num, den = beta.as_integer_ratio()  # beta = num / den, 0 < num < den
+    return min(_K_CAP, (num * l - den) // (den - num))
+
+
 def conditional_pmf(q_tagged: float, q_contender: float, l: int,
                     trunc_tol: float = 1e-9) -> ConditionalPmf:
     """Distribution of contender successes in the l-th-tagged-success window.
@@ -117,6 +127,11 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
     limited by per-term floating-point accuracy and can sit slightly above
     trunc_tol even though the true remaining mass is provably below it.
     Leading entries that underflow to 0.0 take no step each (_zero_head).
+    The rising stretch, where k + l > 50 and the term ratio is >= 1 up to
+    _rise_end, runs as a lean loop of recurrence, append, Kahan update and
+    mass stop: the ratio stop cannot fire there and k stays within _K_CAP,
+    so skipping both tests gives the same bytes. It leaves to the general
+    loop where a term falls below 1e-300 and needs a reseed.
     """
     if not q_tagged > 0.0:
         raise ConditioningError(
@@ -154,6 +169,7 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
     cumulative = 0.0
     compensation = 0.0  # Kahan: tail terms must not be absorbed by the sum
     k = head = _zero_head(l, beta)
+    rise_end = _rise_end(l, beta)
     term = 0.0  # the term before k: none, or the zero head
     while True:
         if k > _K_CAP:
@@ -172,6 +188,18 @@ def conditional_pmf(q_tagged: float, q_contender: float, l: int,
         t = cumulative + y
         compensation = (t - cumulative) - y
         cumulative = t
+        if k + l >= _EXACT_COMB_LIMIT:
+            # the rising stretch k + 1 .. rise_end, every k past the exact
+            # orders, none past _K_CAP, and no ratio stop (see _rise_end)
+            while (k < rise_end and term >= 1e-300
+                   and 1.0 - cumulative > trunc_tol):
+                k += 1
+                term = term * beta * (k + l - 1) / k
+                terms.append(term)
+                y = term - compensation
+                t = cumulative + y
+                compensation = (t - cumulative) - y
+                cumulative = t
         if 1.0 - cumulative <= trunc_tol:
             break
         if k + l > _EXACT_COMB_LIMIT and term > 0.0:
@@ -217,20 +245,6 @@ def pmf_moments(cpmf: ConditionalPmf) -> tuple[float, float]:
             f"pmf variance {var_num!r} vs closed form {variance!r}"
         )
     return mean, variance
-
-
-def jain_index(x: Sequence[float] | np.ndarray) -> float:
-    """Jain's fairness index (sum x)^2 / (n * sum x^2), in (0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise UndefinedIndexError("empty allocation vector")
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
-        raise ValueError("allocation entries must be finite and nonnegative")
-    total = float(np.sum(x))
-    square = float(np.sum(x * x))
-    if square == 0.0:
-        raise UndefinedIndexError("all-zero allocation has no fairness index")
-    return total * total / (x.size * square)
 
 
 def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,

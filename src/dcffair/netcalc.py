@@ -15,7 +15,8 @@ valid while (1 - p) E[e^(theta D)] < 1. Chernoff over the i.i.d. sum of j
 increments gives P[T_j >= t] <= exp(j Lambda(theta) - theta t), hence the
 (1 - eps)-quantile envelope t_eps(j) = (j Lambda(theta) + ln(1/eps)) / theta
 and the rate-latency service curve with rate theta / Lambda(theta) and
-latency ln(1/eps) / theta.
+latency ln(1/eps) / theta. The convergent range ends at theta_max, found by
+bisection that stops once its bracket is two adjacent floats.
 
 Internal time unit is the microsecond; the public curve is expressed in
 packets per second and seconds.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConditioningError, ConsistencyError, DivergenceError,
@@ -42,13 +43,15 @@ class IncrementModel:
 
     p_tag is the per-slot probability that the tagged station succeeds;
     cond_values / cond_probs describe the slot duration conditioned on
-    "not a tagged success". Durations in microseconds.
+    "not a tagged success". Durations in microseconds. log_probs is
+    ln(cond_probs), -inf where a probability is 0, taken once for _cond_mgf.
     """
 
     p_tag: float
     d_succ: float
     cond_values: np.ndarray
     cond_probs: np.ndarray
+    log_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.p_tag <= 1.0:
@@ -62,6 +65,9 @@ class IncrementModel:
                 raise ValueError("conditional probabilities must sum to 1")
             if np.any(self.cond_probs < 0.0):
                 raise ValueError("conditional probabilities must be >= 0")
+        object.__setattr__(self, "log_probs", np.log(
+            self.cond_probs, out=np.full_like(self.cond_probs, -np.inf),
+            where=self.cond_probs > 0))
 
 
 @dataclass(frozen=True)
@@ -129,9 +135,7 @@ def increment_moments(model: IncrementModel) -> tuple[float, float]:
 
 def _cond_mgf(model: IncrementModel, theta: float) -> float:
     # E[e^(theta D)], computed in log domain to survive large theta * D.
-    exponents = theta * model.cond_values + np.log(model.cond_probs,
-                                                   out=np.full_like(model.cond_probs, -np.inf),
-                                                   where=model.cond_probs > 0)
+    exponents = theta * model.cond_values + model.log_probs
     return float(np.exp(np.logaddexp.reduce(exponents)))
 
 
@@ -139,6 +143,8 @@ def theta_max(model: IncrementModel) -> float:
     """Supremum of the convergent theta range (1/us); inf when deterministic.
 
     Root of (1 - p) E[e^(theta D)] = 1, found by doubling plus bisection.
+    The bisection stops once lo and hi are adjacent floats: the returned lo
+    can no longer move, and no more than 200 halvings are taken.
     """
     p = model.p_tag
     if p == 1.0:
@@ -148,9 +154,14 @@ def theta_max(model: IncrementModel) -> float:
         hi *= 2.0
         if hi > 1e6:
             return math.inf  # all conditional durations are zero
+    # Invariant: (1 - p) E[e^(theta D)] is < 1 at lo and >= 1 or nan at hi.
+    # Once mid rounds to lo or to hi, every later step re-tests one of them
+    # and sets it to the value it has, so lo can no longer move.
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if (1.0 - p) * _cond_mgf(model, mid) < 1.0:
             lo = mid
         else:

@@ -263,9 +263,11 @@ FAILURES = {
        for command in OVERFLOWS},
     **{f"{command}-degenerate-mac": (command, {"mac": DEGENERATE_MAC},
                                      trace, 3)
-       for command, trace in (("model", None), ("fairness", None),
-                              ("servicecurve", None),
+       for command, trace in (("fairness", None), ("servicecurve", None),
                               ("clock", ("--event-trace", None)))},
+    # identical window-1 stations: the fixed point is not bracketed
+    "model-unbracketed-mac": ("model", {"mac": {"cw_min": 1, "cw_max": 1}},
+                              None, 3),
     "servicecurve-instability": (
         "servicecurve", {"service_curve.arrival.rho_pps": 1e9}, None, 3),
     "demo-instability": ("demo", {"DCFFAIR_SERVICE_CURVE__ARRIVAL":
@@ -313,6 +315,19 @@ def test_failed_command_leaves_out_as_it_was(command, changes, trace, code,
     assert main(argv) == code
     _single_error_line(capsys.readouterr().err)
     assert _listing(out) == before
+
+
+def test_model_starved_station_has_null_increment(tmp_path):
+    # station 0 never departs, so only its increment moments are undefined
+    config = {**BASE_CONFIG, "mac": DEGENERATE_MAC}
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["model", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "model.json").read_text())
+    assert report["increment_mean_us"] is None
+    assert report["increment_var_us2"] is None
+    assert report["p_succ"][0] == 0.0
+    assert all(math.isfinite(v) for v in report["throughput_bps"])
 
 
 def test_clock_does_not_read_payload_bits(traces, tmp_path):

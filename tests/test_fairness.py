@@ -10,10 +10,8 @@ from dcffair import (
     ConditioningError,
     HorizonNotFoundError,
     TruncationError,
-    UndefinedIndexError,
     conditional_pmf,
     empirical_conditional_pmf,
-    jain_index,
     pmf_moments,
     short_term_horizon,
     tv_distance,
@@ -154,36 +152,6 @@ class TestMoments:
         se_var = centered.std(ddof=1) / np.sqrt(samples.size)
         assert variance == pytest.approx(2.0, abs=1e-12)
         assert abs(sample_var - variance) <= 3 * se_var
-
-
-class TestJain:
-    def test_equal_allocation(self):
-        assert jain_index([5, 5, 5, 5]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_single_winner(self):
-        assert jain_index([1, 0, 0, 0]) == pytest.approx(0.25, abs=1e-15)
-
-    def test_three_one(self):
-        assert jain_index([3, 1]) == pytest.approx(0.8, abs=1e-15)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(UndefinedIndexError):
-            jain_index([0.0, 0.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            jain_index([math.nan, 1.0])
-
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(
-        x=st.lists(st.floats(0.001, 1e6), min_size=1, max_size=12),
-        exp=st.integers(-30, 30),
-    )
-    def test_scale_invariance(self, x, exp):
-        # powers of two scale exactly in binary floating point
-        c = 2.0 ** exp
-        scaled = [c * xi for xi in x]
-        assert jain_index(scaled) == jain_index(x)
 
 
 class TestWindows:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dcffair import ConditioningError, TruncationError, conditional_pmf
 from dcffair.cli import main
-from dcffair.fairness import _EXACT_COMB_LIMIT, _K_CAP, ConditionalPmf
+from dcffair.fairness import (_EXACT_COMB_LIMIT, _K_CAP, ConditionalPmf,
+                              _rise_end, _zero_head)
 from dcffair.mac import MacParams, slot_distribution, solve_attempt_fixed_point
 from dcffair.traceio import write_csv
 from test_cli import BASE_CONFIG
@@ -144,6 +146,70 @@ GRID = [(beta, l, trunc) for beta in BETAS for l in LS
 @pytest.mark.parametrize("beta, l, trunc_tol", GRID)
 def test_same_pmf_on_grid(beta, l, trunc_tol):
     _assert_same(1.0 - beta, beta, l, trunc_tol)
+
+
+# pairs whose rising stretch, up to _rise_end, conditional_pmf runs
+# without the ratio stop; what each stresses: (beta, l, trunc_tol)
+STRETCH = {
+    # (beta l - 1) / (1 - beta) = 2999: the term ratio is exactly 1 there
+    "whole-bound": (0.75, 1001, 1e-9),
+    # beta near 1 at small l: the stretch is most of a long pmf
+    "beta-0.999-l2": (0.999, 2, 1e-9),
+    "beta-0.999-l51": (0.999, 51, 1e-9),
+    # the mass stop fires inside the stretch, some 14,000 terms in
+    "beta-1-1e-9": (1.0 - 1e-9, 2, 1.0 - 1e-10),
+    # after the zero head, hundreds of terms below 1e-300 reseed
+    "reseed": (0.3, 20_000, 1e-9),
+}
+
+
+@pytest.mark.parametrize("beta, l, trunc_tol", STRETCH.values(),
+                         ids=STRETCH.keys())
+def test_same_pmf_in_the_rising_stretch(beta, l, trunc_tol):
+    _assert_same(1.0 - beta, beta, l, trunc_tol)
+
+
+def test_stretch_pairs_stress_what_they_name():
+    beta, l, _ = STRETCH["whole-bound"]
+    bound = (Fraction(beta) * l - 1) / (1 - Fraction(beta))
+    assert bound.denominator == 1 and _rise_end(l, beta) == bound
+    assert beta * (bound + l) / (bound + 1) == 1.0
+
+    beta, l, trunc_tol = STRETCH["beta-1-1e-9"]
+    cpmf = conditional_pmf(1.0 - beta, beta, l, trunc_tol)
+    assert _EXACT_COMB_LIMIT - l < cpmf.k_max < _rise_end(l, cpmf.beta)
+
+    beta, l, _ = STRETCH["reseed"]
+    cpmf = conditional_pmf(1.0 - beta, beta, l)
+    head, end = _zero_head(l, cpmf.beta), _rise_end(l, cpmf.beta)
+    assert 100 < np.count_nonzero(cpmf.pmf[head:end] < 1e-300) < end - head
+
+
+@pytest.mark.parametrize("beta, l", [(beta, l) for beta in BETAS for l in LS]
+                         + [(beta, l) for beta, l, _ in STRETCH.values()])
+def test_rise_end_is_the_last_k_with_ratio_at_least_1(beta, l):
+    # up to _rise_end the computed ratio beta (k + l) / (k + 1) is >= 1.0,
+    # so the ratio stop cannot fire; at the next k it is < 1 exactly
+    end = _rise_end(l, beta)
+    if end >= 0:
+        assert beta * (end + l) / (end + 1) >= 1.0
+    if end < _K_CAP:
+        assert Fraction(beta) * (end + 1 + l) < end + 2
+
+
+def test_same_error_when_the_stretch_reaches_the_cap():
+    # beta = 1 - 1e-9 and l = 2 rise past _K_CAP, and trunc_tol is met at
+    # _K_CAP + 1: a stretch that ran one k past the cap would stop there,
+    # where the reference raises
+    q_tagged, q_contender, l = 1e-9, 1.0 - 1e-9, 2
+    beta = q_contender / (q_tagged + q_contender)
+    assert _rise_end(l, beta) == _K_CAP
+    k = np.arange(_K_CAP + 2, dtype=float)  # C(k + 1, k) = k + 1 at l = 2
+    pmf = np.exp(np.log(k + 1.0) + l * math.log1p(-beta) + k * math.log(beta))
+    below = math.fsum(pmf[:-1])
+    trunc_tol = 1.0 - (below + 0.5 * float(pmf[-1]))
+    assert 1.0 - below > trunc_tol >= 1.0 - (below + pmf[-1])
+    _assert_same(q_tagged, q_contender, l, trunc_tol)
 
 
 def test_same_error_when_the_zero_head_reaches_the_cap():
