@@ -20,9 +20,9 @@ from .fairness import (ConditionalPmf, FairnessWindowStats, conditional_pmf,
                        empirical_conditional_pmf, pmf_moments,
                        short_term_horizon, tv_distance, windowed_fairness)
 from .mac import (AttemptSolution, MacParams, SlotDistribution,
-                  VectorAttemptSolution, chain_attempt_probability,
-                  saturation_throughput, slot_distribution,
-                  solve_attempt_fixed_point, solve_attempt_fixed_point_vector)
+                  VectorAttemptSolution, saturation_throughput,
+                  slot_distribution, solve_attempt_fixed_point,
+                  solve_attempt_fixed_point_vector)
 from .netcalc import (ArrivalEnvelope, IncrementModel, StochasticServiceCurve,
                       backlog_bound, delay_bound, increment_model_from_slots,
                       increment_moments, log_mgf, optimize_theta,

@@ -156,13 +156,10 @@ def build_sim_config(config: dict) -> simmod.SimConfig:
     if unknown:
         raise ConfigError(f"sim: unknown fields {sorted(unknown)}")
     fields = {name: sim[name] for name in names & set(sim)}
-    if isinstance(fields.get("arrival_rate_pps"), list):
-        fields["arrival_rate_pps"] = tuple(fields["arrival_rate_pps"])
     cfg = simmod.SimConfig(params=_mac_params(config.get("mac")), **fields)
-    cfg.validate()
-    if cfg.mode == "poisson" and not any(cfg.arrival_rates()):
+    if cfg.mode == "poisson" and not any(cfg.arrival_rate_pps):
         raise ConfigError("sim.arrival_rate_pps needs a rate > 0, got "
-                          f"{cfg.arrival_rate_pps!r}")
+                          f"{sim['arrival_rate_pps']!r}")
     return cfg
 
 
@@ -330,7 +327,7 @@ def cmd_simulate(sim_cfg: simmod.SimConfig, settings: dict,
 
 
 def cmd_model(sim_cfg: simmod.SimConfig, settings: dict) -> Outputs:
-    taus, dist = _tagged_model(sim_cfg.station_params())
+    taus, dist = _tagged_model(sim_cfg.params)
     payload_bits = settings["payload_bits"]
     throughput = saturation_throughput(dist, payload_bits)
     try:
@@ -355,7 +352,7 @@ def cmd_model(sim_cfg: simmod.SimConfig, settings: dict) -> Outputs:
 def cmd_fairness(sim_cfg: simmod.SimConfig, settings: dict,
                  events: traceio.EventTrace | None = None) -> Outputs:
     section = settings["fairness"]
-    _, dist = _tagged_model(sim_cfg.station_params())
+    _, dist = _tagged_model(sim_cfg.params)
     tagged, contender, l = (section["tagged"], section["contender"],
                             section["l"])
     cpmf = fairmod.conditional_pmf(float(dist.q[tagged]),
@@ -388,7 +385,7 @@ def cmd_clock(sim_cfg: simmod.SimConfig, settings: dict,
     _check_successes(events, sim_cfg.n)
     section = settings["clock"]
     tagged = section["tagged"]
-    _, dist = _tagged_model(sim_cfg.station_params())
+    _, dist = _tagged_model(sim_cfg.params)
     model = netcalc.increment_model_from_slots(dist, tagged)
     fair_increment, _ = netcalc.increment_moments(model)
     ct = clockmod.dcf_clock(events, tagged, fair_increment)
@@ -421,7 +418,7 @@ def cmd_servicecurve(sim_cfg: simmod.SimConfig, settings: dict,
                      plot_data: bool = False) -> Outputs:
     section = settings["service_curve"]
     tagged, eps = section["tagged"], section["eps"]
-    _, dist = _tagged_model(sim_cfg.station_params())
+    _, dist = _tagged_model(sim_cfg.params)
     model = netcalc.increment_model_from_slots(dist, tagged)
     theta = netcalc.optimize_theta(model, eps, section["horizon_j"])
     sc = netcalc.service_curve(model, theta, eps)

@@ -65,7 +65,6 @@ class FairnessWindowStats:
 
     window_len: int
     counts: np.ndarray      # shape (windows, stations)
-    stations: np.ndarray    # station ids, column order of counts
     jain: np.ndarray        # per-window index
     jain_mean: float
     jain_p05: float
@@ -248,13 +247,12 @@ def pmf_moments(cpmf: ConditionalPmf) -> tuple[float, float]:
 
 
 def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,
-                      n_stations: int | None = None) -> FairnessWindowStats:
+                      n_stations: int) -> FairnessWindowStats:
     """Short-term fairness over disjoint windows of consecutive successes.
 
     owners is the success-ownership sequence (station id per successful
-    slot, in order). The trailing partial window is discarded. When
-    n_stations is given, stations 0..n_stations-1 form the columns even if
-    some never appear; otherwise the distinct ids in the trace do.
+    slot, in order). The trailing partial window is discarded. Stations
+    0..n_stations-1 form the columns, also those that never appear.
     """
     owners = np.asarray(owners)
     if owners.ndim != 1:
@@ -265,25 +263,20 @@ def windowed_fairness(owners: Sequence[int] | np.ndarray, window_len: int,
         raise ValueError(
             f"trace has {owners.size} successes, need >= {window_len}"
         )
-    if n_stations is not None:
-        stations = np.arange(n_stations)
-        codes = owners.astype(np.int64)
-        if codes.min() < 0 or codes.max() >= n_stations:
-            raise ValueError("owner id outside 0..n_stations-1")
-    else:
-        stations, codes = np.unique(owners, return_inverse=True)
+    codes = owners.astype(np.int64)
+    if codes.min() < 0 or codes.max() >= n_stations:
+        raise ValueError("owner id outside 0..n_stations-1")
     n_windows = owners.size // window_len
     window = np.arange(n_windows * window_len) // window_len
-    cells = np.bincount(window * stations.size + codes[:window.size],
-                        minlength=n_windows * stations.size)
-    counts = cells.reshape(n_windows, stations.size)
+    cells = np.bincount(window * n_stations + codes[:window.size],
+                        minlength=n_windows * n_stations)
+    counts = cells.reshape(n_windows, n_stations)
     sums = counts.sum(axis=1, dtype=float)
     squares = (counts.astype(float) ** 2).sum(axis=1)
-    jains = sums * sums / (stations.size * squares)
+    jains = sums * sums / (n_stations * squares)
     return FairnessWindowStats(
         window_len=window_len,
         counts=counts,
-        stations=stations,
         jain=jains,
         jain_mean=float(np.mean(jains)),
         jain_p05=float(np.quantile(jains, 0.05)),

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SolverError, is_finite, is_int
+from .errors import ConditioningError, ConfigError, SolverError, is_int
 
 #: Classic DSSS-flavored timing profile, microseconds. Configuration data,
 #: not constants of the model.
@@ -37,6 +37,10 @@ DEFAULT_SIFS = 10
 DEFAULT_ACK_DUR = 304
 DEFAULT_HEADER_DUR = 416
 DEFAULT_PAYLOAD_DUR = 8192
+
+_TOL = 1e-12
+_DAMPING = 0.5
+_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -167,33 +171,17 @@ def _chain(p, half, live, unlimited, tail_half):
     return (num + tail) / (den + tail * tail_half)
 
 
-def chain_attempt_probability(p: float, params: MacParams) -> float:
-    """Per-slot attempt probability of the backoff chain at collision prob p.
-
-    Renewal-reward over one packet: stage i is reached with weight p^i and
-    costs (W_i + 1) / 2 slots on average, the final slot being the attempt.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must be in [0, 1), got {p}")
-    return _chain(p, *_stages(params))
-
-
-def _check_tol(tol: float) -> None:
-    if not (is_finite(tol) and tol > 0):
-        raise ConfigError(f"tolerance must be finite and > 0, got {tol!r}")
-
-
-def solve_attempt_fixed_point(params: MacParams, n: int,
-                              tol: float = 1e-12) -> AttemptSolution:
+def solve_attempt_fixed_point(params: MacParams, n: int) -> AttemptSolution:
     """Solve the homogeneous saturation fixed point for n stations.
 
-    Bisection on tau over (1e-9, 1 - 1e-9). The residual
-    g(tau) = tau - chain(1 - (1 - tau)^(n-1)) is strictly increasing, so a
-    sign change brackets the unique root.
+    Bisection on tau over (1e-9, 1 - 1e-9), to a residual of at most _TOL.
+    The residual g(tau) = tau - chain(1 - (1 - tau)^(n-1)) is strictly
+    increasing, so a sign change brackets the unique root. Where g stays
+    negative on the bracket, a chain that is 1 at tau = 1 (one station of
+    window 1, or stations whose every window is 1) has its root there.
     """
     if n < 1:
         raise ConfigError(f"station count must be >= 1, got {n}")
-    _check_tol(tol)
 
     stages = _stages(params)
 
@@ -204,60 +192,52 @@ def solve_attempt_fixed_point(params: MacParams, n: int,
 
     lo, hi = 1e-9, 1.0 - 1e-9
     g_lo, g_hi = residual(lo), residual(hi)
+    if g_hi < 0.0 and residual(1.0) == 0.0:
+        return AttemptSolution(n=n, tau=1.0, p_coll=1.0 - 0.0 ** (n - 1),
+                               residual=0.0)
     if g_lo > 0.0 or g_hi < 0.0:
         raise SolverError(
             "fixed point not bracketed on (1e-9, 1-1e-9): "
             f"g({lo}) = {g_lo:.3e}, g({hi}) = {g_hi:.3e}; "
             "degenerate backoff parameters"
         )
-    mid, g_mid = lo, g_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = residual(mid)
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= _TOL:
             break
         if g_mid < 0.0:
             lo = mid
         else:
             hi = mid
-    if abs(g_mid) > tol:
+    else:
         raise SolverError(
-            f"bisection stalled at residual {g_mid:.3e} > tol {tol:.3e}"
+            f"bisection stalled at residual {g_mid:.3e} > tol {_TOL:.3e}"
         )
     p = 1.0 - (1.0 - mid) ** (n - 1)
     return AttemptSolution(n=n, tau=mid, p_coll=p, residual=abs(g_mid))
 
 
 def solve_attempt_fixed_point_vector(
-    params: Sequence[MacParams],
-    tol: float = 1e-12,
-    damping: float = 0.5,
-    max_iterations: int = 100_000,
-) -> VectorAttemptSolution:
+        params: Sequence[MacParams]) -> VectorAttemptSolution:
     """Solve the per-station fixed point for heterogeneous backoff configs.
 
-    Damped iteration tau <- (1-d) tau + d chain(p(tau)) with
-    p_i = 1 - prod_{j != i} (1 - tau_j). Each step evaluates every
-    station's chain at once: _chain runs on arrays over stations, with the
-    stage tables padded to the deepest station's stage count.
+    Damped iteration tau <- (1-d) tau + d chain(p(tau)), d = _DAMPING, with
+    p_i = 1 - prod_{j != i} (1 - tau_j), to a step of at most _TOL within
+    _MAX_ITERATIONS steps. Each step evaluates every station's chain at
+    once: _chain runs on arrays over stations, with the stage tables padded
+    to the deepest station's stage count.
     """
     n = len(params)
     if n < 1:
         raise ConfigError("at least one station required")
-    _check_tol(tol)
-    if not (is_finite(damping) and 0.0 < damping <= 1.0):
-        raise ConfigError(f"damping must be in (0, 1], got {damping!r}")
-    if not (is_int(max_iterations) and max_iterations >= 1):
-        raise ConfigError(
-            f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     halves, lives, unlimited, tail_half = zip(*map(_stages, params))
     # one row per stage and a column per station, 0.0 past its last stage
     half, live = (np.array(list(zip_longest(*rows, fillvalue=0.0)))
                   for rows in (halves, lives))
     unlimited, tail_half = np.array(unlimited), np.array(tail_half)
     taus = _chain(np.zeros(n), half, live, unlimited, tail_half)
-    residual = np.inf
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         one_minus = 1.0 - taus
         prod_all = np.prod(one_minus)
         if prod_all == 0.0:  # tau_i = 1, a window of 1: no 0/0 for its p_i
@@ -275,13 +255,13 @@ def solve_attempt_fixed_point_vector(
                               "backoff parameters")
         target = _chain(clamped, half, live, unlimited, tail_half)
         residual = float(np.max(np.abs(taus - target)))
-        if residual <= tol:
+        if residual <= _TOL:
             return VectorAttemptSolution(
                 taus=taus, p_colls=p, residual=residual, iterations=iteration
             )
-        taus = (1.0 - damping) * taus + damping * target
+        taus = (1.0 - _DAMPING) * taus + _DAMPING * target
     raise SolverError(
-        f"damped iteration did not converge in {max_iterations} steps "
+        f"damped iteration did not converge in {_MAX_ITERATIONS} steps "
         f"(residual {residual:.3e})"
     )
 
@@ -291,6 +271,8 @@ def slot_distribution(tau: Sequence[float] | np.ndarray,
     """Per-slot outcome distribution for attempt probabilities tau.
 
     tau entries must lie in (0, 1]; 1 is the degenerate forced-attempt case.
+    Where no station can succeed (two or more stations at tau = 1), the
+    ownership shares q are 0/0 and ConditioningError is raised.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 1:
@@ -299,14 +281,14 @@ def slot_distribution(tau: Sequence[float] | np.ndarray,
         raise ValueError("every attempt probability must be in (0, 1]")
     one_minus = 1.0 - tau
     p_idle = float(np.prod(one_minus))
-    p_succ = np.empty_like(tau)
-    for i in range(tau.size):
-        others = np.prod(np.delete(one_minus, i))
-        p_succ[i] = tau[i] * others
+    p_succ = tau * np.array([np.prod(np.delete(one_minus, i))
+                             for i in range(tau.size)])
     total_succ = float(np.sum(p_succ))
-    p_coll = 1.0 - p_idle - total_succ
-    if p_coll < 0.0:  # rounding guard, magnitude ~1e-16
-        p_coll = 0.0
+    if total_succ == 0.0:
+        raise ConditioningError("no station can ever succeed: "
+                                f"{np.sum(tau == 1.0)} stations attempt in "
+                                "every slot (tau = 1)")
+    p_coll = max(1.0 - p_idle - total_succ, 0.0)  # rounding, ~1e-16
     q = p_succ / total_succ
     return SlotDistribution(
         p_idle=p_idle,

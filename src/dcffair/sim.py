@@ -71,13 +71,14 @@ _MAX_COUNT_CHUNK = 65_536
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation scenario.
+    """Simulation scenario. A SimConfig that exists is valid and normalised:
+    construction (dataclasses.replace too) raises ConfigError on a fault.
 
-    params may be a single MacParams shared by all stations or one per
-    station (slot_sigma must then agree across stations, since the idle
-    slot is a channel property). Exactly one of horizon_slots / horizon_us
-    bounds the run. In poisson mode arrival_rate_pps gives per-station
-    Poisson arrival rates (scalar or one per station).
+    params, one MacParams shared by all stations or one per station, is
+    kept as a tuple of n; slot_sigma must agree across them, the idle slot
+    being a channel property. Exactly one of horizon_slots / horizon_us
+    bounds the run. arrival_rate_pps, the poisson mode's per-station rates
+    (scalar or one per station), is kept as n floats, else as ().
     """
 
     n: int
@@ -90,36 +91,14 @@ class SimConfig:
     record_slot_trace: bool = True
     record_event_trace: bool = True
 
-    def station_params(self) -> tuple[MacParams, ...]:
-        if isinstance(self.params, MacParams):
-            return (self.params,) * self.n
-        params = tuple(self.params)
-        if len(params) != self.n:
-            raise ConfigError(
-                f"{len(params)} MacParams for {self.n} stations"
-            )
-        return params
-
-    def arrival_rates(self) -> list[float]:
-        if self.mode != "poisson":
-            return []
-        rates = self.arrival_rate_pps
-        if rates is None:
-            raise ConfigError("poisson mode requires arrival_rate_pps")
-        if not isinstance(rates, (list, tuple, np.ndarray)):
-            rates = [rates] * self.n
-        if len(rates) != self.n:
-            raise ConfigError(f"{len(rates)} arrival rates for {self.n} stations")
-        if not all(is_finite(r) and r >= 0 for r in rates):
-            raise ConfigError("arrival_rate_pps must be finite numbers >= 0, "
-                              f"got {self.arrival_rate_pps!r}")
-        return [float(r) for r in rates]
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
+        """Check and normalise the fields; idempotent."""
         if (self.horizon_slots is None) == (self.horizon_us is None):
-            raise ConfigError(
-                "exactly one of horizon_slots / horizon_us must be set"
-            )
+            raise ConfigError("exactly one of horizon_slots / horizon_us "
+                              "must be set")
         horizon = "horizon_slots" if self.horizon_us is None else "horizon_us"
         for name, least in (("n", 1), (horizon, 1), ("seed", 0)):
             value = getattr(self, name)
@@ -132,12 +111,30 @@ class SimConfig:
                                   f"{getattr(self, name)!r}")
         if self.mode not in ("saturated", "poisson"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        sigmas = {p.slot_sigma for p in self.station_params()}
-        if len(sigmas) != 1:
-            raise ConfigError(
-                "slot_sigma must be identical across stations (shared channel)"
-            )
-        self.arrival_rates()
+        params = ((self.params,) * self.n if isinstance(self.params, MacParams)
+                  else tuple(self.params))
+        if len(params) != self.n:
+            raise ConfigError(f"{len(params)} MacParams for {self.n} stations")
+        if len({p.slot_sigma for p in params}) != 1:
+            raise ConfigError("slot_sigma must be identical across stations "
+                              "(shared channel)")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "arrival_rate_pps", self._rates())
+
+    def _rates(self) -> tuple[float, ...]:
+        if self.mode != "poisson":
+            return ()
+        rates = self.arrival_rate_pps
+        if rates is None:
+            raise ConfigError("poisson mode requires arrival_rate_pps")
+        if not isinstance(rates, (list, tuple, np.ndarray)):
+            rates = [rates] * self.n
+        if len(rates) != self.n:
+            raise ConfigError(f"{len(rates)} arrival rates for {self.n} stations")
+        if not all(is_finite(r) and r >= 0 for r in rates):
+            raise ConfigError("arrival_rate_pps must be finite numbers >= 0, "
+                              f"got {self.arrival_rate_pps!r}")
+        return tuple(float(r) for r in rates)
 
 
 @dataclass
@@ -174,10 +171,6 @@ class SimResult:
 
     def throughput_bps(self, payload_bits: float) -> np.ndarray:
         return self.throughput_pps() * payload_bits
-
-    def attempt_rate(self) -> np.ndarray:
-        """Per-station attempts per slot (the empirical tau)."""
-        return self.counters.attempts / self.counters.n_slots
 
 
 def _refill(buffer: list, draw: Callable[[int], np.ndarray],
@@ -232,10 +225,9 @@ def run(config: SimConfig, *, replication: int = 0,
     convenience for validation studies and does not change the slot
     dynamics.
     """
-    config.validate()
     n = config.n
     tagged, tagged_goal = _early_stop(n, stop_after_tagged)
-    params = config.station_params()
+    params = config.params
     sigma = params[0].slot_sigma
     poisson = config.mode == "poisson"
     # per station and stage: the window, and the stage after a collision
@@ -279,7 +271,7 @@ def run(config: SimConfig, *, replication: int = 0,
 
     if poisson:
         draw_gap = [partial(stream(i, 1).exponential, 1e6 / rate) if rate > 0
-                    else None for i, rate in enumerate(config.arrival_rates())]
+                    else None for i, rate in enumerate(config.arrival_rate_pps)]
         gaps: list[list[float]] = [[] for _ in range(n)]
         gap_chunk = [_FIRST_CHUNK] * n
 
@@ -434,7 +426,6 @@ def replicate(config: SimConfig, replications: Iterable[int],
                           f"got {replications!r}")
     if not is_int(jobs) or jobs < 1:
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
-    config.validate()  # before the trace flags are overridden
     row = partial(_throughput, replace(config, record_slot_trace=False,
                                        record_event_trace=False))
     if jobs == 1:

@@ -460,8 +460,9 @@ def read_slot_trace_csv(path: str | Path) -> SlotTrace:
 def _check_events(path: str | Path, trace: EventTrace) -> None:
     """Raise naming the line of the first event no FIFO station can
     depart: a station below 0, a time not finite, a packet_id not above
-    the station's previous one, or a departure not after its arrival."""
-    station, packet = trace.station, trace.packet_id
+    the station's previous one, an arrival_us or departure_us below the
+    station's previous one, or a departure not after its arrival."""
+    station = trace.station
     _reject(path, station < 0,
             lambda k: f"station {station[k]}, expected >= 0")
     for name, times in (("arrival_us", trace.arrival),
@@ -471,13 +472,17 @@ def _check_events(path: str | Path, trace: EventTrace) -> None:
     # a stable radix sort in the narrowest dtype keeps each station's order
     order = np.argsort(station.astype(np.min_scalar_type(
         station.max(initial=0))), kind="stable")
-    by_station, packets = station[order], packet[order]
-    repeat = np.zeros(station.size, dtype=bool)
-    repeat[order[1:][(by_station[1:] == by_station[:-1])
-                     & (packets[1:] <= packets[:-1])]] = True
-    _reject(path, repeat, lambda k: f"packet_id {packet[k]}, expected above "
-            f"{packet[:k][station[:k] == station[k]][-1]}, station "
-            f"{station[k]}'s previous packet_id")
+    same = np.diff(station[order]) == 0
+    for name, values, bound, falls in (
+            ("packet_id", trace.packet_id, "above", np.less_equal),
+            ("arrival_us", trace.arrival, ">=", np.less),
+            ("departure_us", trace.departure, ">=", np.less)):
+        ordered = values[order]
+        bad = np.zeros(station.size, dtype=bool)
+        bad[order[1:][same & falls(ordered[1:], ordered[:-1])]] = True
+        _reject(path, bad, lambda k: f"{name} {values[k]}, expected {bound} "
+                f"{values[:k][station[:k] == station[k]][-1]}, station "
+                f"{station[k]}'s previous {name}")
     _reject(path, trace.departure <= trace.arrival,
             lambda k: f"departure_us {trace.departure[k]}, expected above "
                       f"arrival_us {trace.arrival[k]}")

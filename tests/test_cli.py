@@ -136,6 +136,27 @@ def test_simulate_throughput_consistent_with_model(tmp_path):
     assert sim_bps == pytest.approx(model["throughput_bps"][0], rel=0.03)
 
 
+def test_model_single_window_of_one_matches_simulate(tmp_path, capsys):
+    # one station of window 1 succeeds in every slot: tau = 1 on the
+    # bisection's bracket edge; with three, every slot collides
+    config = {"mac": {"cw_min": 1}, "sim": {"n": 1, "horizon_slots": 2000}}
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    for command in ("simulate", "model"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    model = json.loads((out / "model.json").read_text())
+    assert model["tau"] == [1.0] and model["p_coll"] == [0.0]
+    assert model["throughput_pps"] == pytest.approx(
+        summary["per_station"]["throughput_pps"], rel=1e-12, abs=0)
+    config["mac"]["cw_max"], config["sim"]["n"] = 1, 3
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["model", "--config", str(path), "--out", str(out)]) == 3
+    assert _single_error_line(capsys.readouterr().err).startswith(
+        "error: no station can ever succeed")
+
+
 def test_simulate_single_station_no_collisions(tmp_path):
     config = {"sim": {"n": 1, "horizon_slots": 5000, "seed": 1}}
     path = tmp_path / "cfg.json"
@@ -265,9 +286,10 @@ FAILURES = {
                                      trace, 3)
        for command, trace in (("fairness", None), ("servicecurve", None),
                               ("clock", ("--event-trace", None)))},
-    # identical window-1 stations: the fixed point is not bracketed
-    "model-unbracketed-mac": ("model", {"mac": {"cw_min": 1, "cw_max": 1}},
-                              None, 3),
+    # identical window-1 stations collide in every slot: no station can
+    # ever succeed
+    "model-no-success-mac": ("model", {"mac": {"cw_min": 1, "cw_max": 1}},
+                             None, 3),
     "servicecurve-instability": (
         "servicecurve", {"service_curve.arrival.rho_pps": 1e9}, None, 3),
     "demo-instability": ("demo", {"DCFFAIR_SERVICE_CURVE__ARRIVAL":
@@ -744,6 +766,12 @@ IMPOSSIBLE_EVENTS = {
                           "arrival_us -inf, expected a finite time"),
     "departure-inf": ("2,0,600,inf",
                       "departure_us inf, expected a finite time"),
+    "arrival-falling": ("0,2,150,1600",
+                        "arrival_us 150.0, expected >= 200.0, station 0's "
+                        "previous arrival_us"),
+    "departure-falling": ("0,2,600,1400",
+                          "departure_us 1400.0, expected >= 1500.0, "
+                          "station 0's previous departure_us"),
 }
 
 

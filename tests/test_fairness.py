@@ -156,12 +156,12 @@ class TestMoments:
 
 class TestWindows:
     def test_alternating_trace_is_fair(self):
-        stats = windowed_fairness([0, 1] * 16, 2)
+        stats = windowed_fairness([0, 1] * 16, 2, 2)
         assert np.all(stats.jain == 1.0)
         assert stats.jain_mean == 1.0
 
     def test_aabb_trace(self):
-        stats = windowed_fairness([0, 0, 1, 1] * 8, 2)
+        stats = windowed_fairness([0, 0, 1, 1] * 8, 2, 2)
         assert np.all(stats.jain == 0.5)
         assert stats.jain_mean == pytest.approx(0.5)
 
@@ -176,7 +176,7 @@ class TestWindows:
 
     def test_requires_enough_successes(self):
         with pytest.raises(ValueError):
-            windowed_fairness([0, 1], 5)
+            windowed_fairness([0, 1], 5, 2)
 
 
 class TestHorizon:

@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from dcffair import (
+    ConditioningError,
     ConfigError,
     MacParams,
-    SolverError,
-    chain_attempt_probability,
+    mac,
     saturation_throughput,
     slot_distribution,
     solve_attempt_fixed_point,
@@ -59,7 +57,7 @@ def test_chain_matches_bianchi_closed_form():
     for p in (0.0, 0.1, 0.3, 0.49, 0.7):
         expected = (2 * (1 - 2 * p)
                     / ((1 - 2 * p) * (W + 1) + p * W * (1 - (2 * p) ** m)))
-        assert chain_attempt_probability(p, params) == pytest.approx(
+        assert mac._chain(p, *mac._stages(params)) == pytest.approx(
             expected, rel=1e-12)
 
 
@@ -75,10 +73,19 @@ def test_fixed_point_monotone_in_n(default_params):
 
 
 def test_fixed_point_degenerate_bracket():
-    # window 1, single stage: every backlogged station transmits every slot
-    with pytest.raises(SolverError):
-        solve_attempt_fixed_point(
-            MacParams(cw_min=1, cw_max=1, max_backoff_stage=0), 2)
+    # window 1 at stage 0: every backlogged station transmits every slot,
+    # and the root of the residual sits on the bracket's edge at tau = 1
+    for params, n, p_coll in (
+            (MacParams(cw_min=1, cw_max=1, max_backoff_stage=0), 2, 1.0),
+            (MacParams(cw_min=1, cw_max=1), 3, 1.0),
+            (MacParams(cw_min=1), 1, 0.0)):
+        sol = solve_attempt_fixed_point(params, n)
+        assert (sol.tau, sol.p_coll, sol.residual) == (1.0, p_coll, 0.0)
+
+
+def test_slot_distribution_no_success_possible(default_params):
+    with pytest.raises(ConditioningError, match="no station can ever succeed"):
+        slot_distribution([1.0, 1.0], default_params)
 
 
 def test_vector_solver_matches_scalar_on_homogeneous(default_params):
@@ -153,34 +160,3 @@ def test_throughput_formula_arithmetic():
     expected_slot = 0.25 * 20 + 0.5 * 530 + 0.25 * 490
     s = saturation_throughput(dist, 8000)
     assert s[0] == pytest.approx(0.25 * 8000 / expected_slot * 1e6)
-
-
-# (solver, keyword, bad value): each is refused before any iteration
-BAD_SOLVER_INPUTS = [
-    *[("scalar", "tol", v) for v in (0.0, -1.0, math.nan, math.inf, "1e-9",
-                                     True)],
-    *[("vector", "tol", v) for v in (0.0, -1.0, math.nan, math.inf, None)],
-    *[("vector", "damping", v) for v in (0.0, -1.0, 1.5, math.nan, math.inf,
-                                         "0.5")],
-    *[("vector", "max_iterations", v) for v in (0, -1, 2.0, 10.5, math.nan,
-                                                True, "10")],
-]
-
-
-@pytest.mark.parametrize("solver, name, value", BAD_SOLVER_INPUTS)
-def test_solver_rejects_bad_input_at_once(solver, name, value):
-    params = [MacParams(cw_min=16), MacParams(cw_min=256)]
-    with pytest.raises(ConfigError, match=name.replace("tol", "tolerance")):
-        if solver == "scalar":
-            solve_attempt_fixed_point(params[0], 3, **{name: value})
-        else:
-            solve_attempt_fixed_point_vector(params, **{name: value})
-
-
-def test_vector_solver_accepts_edge_inputs():
-    params = [MacParams(cw_min=16), MacParams(cw_min=256)]
-    undamped = solve_attempt_fixed_point_vector(params, damping=1.0)
-    assert undamped.residual <= 1e-12
-    one_step = solve_attempt_fixed_point_vector(params, tol=1.0,
-                                                max_iterations=1)
-    assert one_step.iterations == 1

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,35 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(n=2, params=params, horizon_slots=10).validate()
 
+    def test_normalised_once_built(self):
+        shared = SimConfig(n=3, params=MacParams(cw_min=16), horizon_slots=10)
+        assert shared.params == (MacParams(cw_min=16),) * 3
+        assert shared.arrival_rate_pps == ()
+        assert shared == SimConfig(n=3, params=[MacParams(cw_min=16)] * 3,
+                                   horizon_slots=10)
+        rates = dict(n=2, mode="poisson", horizon_slots=10)
+        listed = SimConfig(arrival_rate_pps=[40, 75.5], **rates)
+        assert listed.arrival_rate_pps == (40.0, 75.5)
+        assert listed == SimConfig(arrival_rate_pps=(40, 75.5), **rates)
+        assert (SimConfig(arrival_rate_pps=3, **rates).arrival_rate_pps
+                == (3.0, 3.0))
+        listed.validate()  # idempotent: a built config is left as it is
+        assert listed == SimConfig(arrival_rate_pps=(40.0, 75.5), **rates)
+
+    @pytest.mark.parametrize("field", [
+        {"n": 0}, {"seed": -1}, {"mode": "bursty"}, {"horizon_us": 10},
+        {"record_event_trace": 1}, {"params": (MacParams(),)},
+        {"mode": "poisson"},
+        {"mode": "poisson", "arrival_rate_pps": (1.0, 2.0, 3.0)},
+        {"n": 3},  # params is already a tuple of 2
+    ], ids=["n-0", "seed-negative", "mode-unknown", "two-horizons",
+            "trace-flag-int", "one-params-for-two", "poisson-no-rates",
+            "three-rates-for-two", "n-3-two-params"])
+    def test_replace_checks_the_new_value(self, field):
+        cfg = SimConfig(n=2, horizon_slots=10)
+        with pytest.raises(ConfigError):
+            replace(cfg, **field)
+
 
 class TestDynamics:
     def test_single_station_never_collides(self):
@@ -104,7 +134,7 @@ class TestDynamics:
         for n in (5, 10):
             sol = solve_attempt_fixed_point(MacParams(), n)
             res = run(quiet(n, horizon_slots=300_000, seed=6))
-            emp = res.attempt_rate().mean()
+            emp = (res.counters.attempts / res.counters.n_slots).mean()
             assert emp == pytest.approx(sol.tau, rel=0.05)
 
     def test_per_slot_success_probability_three_sigma(self):

@@ -116,9 +116,8 @@ def _ref_run(config: SimConfig, *, replication: int = 0,
     configured horizon. They are conveniences for validation studies and do
     not change the slot dynamics.
     """
-    config.validate()
     n = config.n
-    params = config.station_params()
+    params = config.params
     sigma = params[0].slot_sigma
     poisson = config.mode == "poisson"
 
@@ -129,7 +128,7 @@ def _ref_run(config: SimConfig, *, replication: int = 0,
         st = _Station(params[i], np.random.Generator(np.random.Philox(seq)))
         stations.append(st)
     if poisson:
-        rates = config.arrival_rates()
+        rates = config.arrival_rate_pps
         for i, st in enumerate(stations):
             arr_seq = np.random.SeedSequence(entropy=config.seed,
                                              spawn_key=(replication, i, 1))
@@ -406,7 +405,7 @@ def assert_same_run(got: SimResult, want: SimResult) -> None:
     assert (got.slots is None) == (want.slots is None)
     if want.slots is not None:
         assert_run_length(got.slots,
-                          got.config.station_params()[0].slot_sigma)
+                          got.config.params[0].slot_sigma)
         slots = expand(got.slots)
         for name in ("codes", "owners", "durations"):
             g, w = getattr(slots, name), getattr(want.slots, name)

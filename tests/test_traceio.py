@@ -277,11 +277,15 @@ def test_event_values_beyond_one_chunk(tmp_path, rng):
     arrival = rng.uniform(0, 1e7, size)
     arrival[::3] = np.floor(arrival[::3])
     arrival[1::3] = np.round(arrival[1::3], 2)
-    departure = arrival + rng.integers(1, 10**6, size)
-    # edge values, each departure after its arrival as the reader requires
+    # times in order, so in order within each station as the reader requires
+    arrival = np.sort(arrival)
+    departure = arrival + np.sort(rng.integers(1, 10**6, size))
+    # edge values, each departure after its arrival and each row on its own
+    # station
     arrival[:6] = [0.0, -0.0, 1e300, 2.0 ** 60, 1e-7, -np.inf]
     departure[:6] = [1.0, 1e-7, np.inf, 2.0 ** 61, 1e-6, 0.0]
     station = rng.integers(0, 50, size)
+    station[:6] = np.arange(50, 56)
     trace = EventTrace.from_lists(station, np.arange(size), arrival,
                                   departure)
     path = _assert_files_identical(write_event_trace_csv,
