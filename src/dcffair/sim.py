@@ -92,10 +92,7 @@ class SimConfig:
     record_event_trace: bool = True
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Check and normalise the fields; idempotent."""
+        """Check the fields and normalise params and arrival_rate_pps."""
         if (self.horizon_slots is None) == (self.horizon_us is None):
             raise ConfigError("exactly one of horizon_slots / horizon_us "
                               "must be set")
@@ -120,6 +117,10 @@ class SimConfig:
                               "(shared channel)")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "arrival_rate_pps", self._rates())
+
+    def validate(self) -> None:
+        """Check again; a SimConfig that exists passes, unchanged."""
+        self.__post_init__()
 
     def _rates(self) -> tuple[float, ...]:
         if self.mode != "poisson":
